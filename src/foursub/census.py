@@ -2,25 +2,32 @@
 
 For a fixed category and dimension vector, enumerate *every* object —
 all matrix assignments for a quiver shape, or all subspaces (pairs of
-subspaces) for the relation categories — bucket them into isomorphism
-classes with a cheap invariant prefilter followed by exact isomorphism
-tests, decide indecomposability of one representative per class, and
+subspaces) for the relation categories — split them into isomorphism
+classes, decide indecomposability of one representative per class, and
 match each indecomposable class against the canonical tag tables.
+
+The isomorphism classes at a fixed dimension vector are the orbits of
+the group G = prod_v GL(d_v, q) acting by change of basis, so the census
+finds them without any isomorphism test: it scans the objects in
+canonical order and walks the orbit of each object not yet visited
+breadth-first under a small generating set of G (the orbit algorithm of
+Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005, §4.1).
+Visited objects are marked in a bitmap indexed by their position in the
+canonical enumeration.  The first object of each orbit is its class
+representative, so classes come out in order of first appearance.
 
 The enumeration is deterministic: matrix entries run row-major in the
 field's canonical element order, and subspace bases run over reduced
-echelon forms ordered by (rank, pivot set, free entries).  The space of
-assignments is partitioned by the first matrix's value (respectively
-the first relation's echelon shape); partitions are processed
-independently and merged in order, with isomorphism re-tested across
-partition boundaries, so results are identical for any worker count.
+echelon forms ordered by (rank, pivot set, free entries).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import multiprocessing
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -35,16 +42,9 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldSpec
-from .matrices import Matrix, hstack, rref, vstack
-from .quivers import QUIVERS, QuiverRep, end_dim, is_indecomposable, is_isomorphic
-from .relations import (
-    PairRelObj,
-    RelObj,
-    lrel_hom_basis,
-    lrel_is_isomorphic,
-    rel_hom_basis,
-    rel_is_isomorphic,
-)
+from .matrices import Matrix, direct_sum, inverse, rref
+from .quivers import QUIVERS, QuiverRep, is_indecomposable
+from .relations import PairRelObj, RelObj
 from . import functors
 
 CensusObject = Union[QuiverRep, RelObj, PairRelObj]
@@ -201,287 +201,186 @@ def _echelon_bases(field: FieldSpec, n: int, shape) -> "itertools.chain":
         yield Matrix(field, n, r, entries)
 
 
-def _partition_keys(category: str, field: FieldSpec, dims) -> list:
-    if category in QUIVERS:
-        quiver = QUIVERS[category]
-        first = quiver.arrows[0]
-        cells = dims[quiver.vertex_index(first.target)] * dims[
-            quiver.vertex_index(first.source)
-        ]
-        return list(itertools.product(field.elements(), repeat=cells))
-    n = 2 * dims[0] if category == "LinRel1" else dims[0] + dims[1]
-    return list(_echelon_shapes(n))
+def _base_q(digits, q: int) -> int:
+    """The number with the given base-q digits, most significant first."""
+    number = 0
+    for x in digits:
+        number = number * q + x
+    return number
 
 
-def _iter_partition(category: str, field: FieldSpec, dims, key):
-    """Yield the objects of one partition in canonical order."""
-    if category in QUIVERS:
-        quiver = QUIVERS[category]
-        shapes = [
-            (
-                dims[quiver.vertex_index(a.target)],
-                dims[quiver.vertex_index(a.source)],
-            )
+# -- the group action -------------------------------------------------------------
+#
+# Each census space below lists its objects ("states") in canonical order,
+# gives every state its index in that order, and turns each generator of G
+# into a move: a function from a state to its image and the image's index.
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group of F_p."""
+    n, factors, r = p - 1, [], 2
+    while r * r <= n:
+        if n % r == 0:
+            factors.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        factors.append(n)
+    return next(
+        w for w in range(1, p) if all(pow(w, (p - 1) // r, p) != 1 for r in factors)
+    )
+
+
+def _gl_generators(field: FieldSpec, d: int) -> list:
+    """Generators of GL(d, q) (D. E. Taylor, "Pairs of generators for matrix
+    groups", 1987): for d >= 2 the transvection I + E_12 and the d-cycle
+    permutation matrix, and for q > 2 also diag(w, 1, ..., 1) with w a
+    primitive root.  GL(1, 2) is trivial and gets no generator."""
+    identity = Matrix.identity(field, d).to_lists()
+    gens = []
+    if d >= 2:
+        transvection = [row[:] for row in identity]
+        transvection[0][1] = 1
+        cycle = [identity[(i - 1) % d] for i in range(d)]
+        gens += [transvection, cycle]
+    if d >= 1 and field.p > 2:
+        diagonal = [row[:] for row in identity]
+        diagonal[0][0] = _primitive_root(field.p)
+        gens.append(diagonal)
+    return [Matrix.from_rows(field, g) for g in gens]
+
+
+class _QuiverSpace:
+    """Representations as tuples of arrow matrices, indexed by their entries
+    read as one base-q number; g acts by M_a -> g_t M_a g_s^-1."""
+
+    def __init__(self, field: FieldSpec, quiver, dims):
+        self.field, self.quiver, self.dims = field, quiver, dims
+        self.shapes = [
+            (dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
             for a in quiver.arrows
         ]
-        rest_cells = sum(t * s for t, s in shapes[1:])
-        first_rows, first_cols = shapes[0]
-        first_mat = Matrix(field, first_rows, first_cols, key)
-        for values in itertools.product(field.elements(), repeat=rest_cells):
-            mats = [first_mat]
-            pos = 0
-            for t, s in shapes[1:]:
-                mats.append(Matrix(field, t, s, values[pos : pos + t * s]))
+        self.moves = [
+            functools.partial(self._move, v, g, inverse(g))
+            for v, d in zip(quiver.vertices, dims)
+            for g in _gl_generators(field, d)
+        ]
+
+    def states(self):
+        cells = sum(t * s for t, s in self.shapes)
+        for values in itertools.product(self.field.elements(), repeat=cells):
+            mats, pos = [], 0
+            for t, s in self.shapes:
+                mats.append(Matrix(self.field, t, s, values[pos : pos + t * s]))
                 pos += t * s
-            yield QuiverRep(field, quiver, dims, mats)
-    elif category == "LinRel1":
-        d = dims[0]
-        for basis in _echelon_bases(field, 2 * d, key):
-            yield RelObj._trusted(field, d, d, basis)
-    else:
-        d1, d2 = dims
-        n = d1 + d2
-        for basis1 in _echelon_bases(field, n, key):
-            for shape2 in _echelon_shapes(n):
-                for basis2 in _echelon_bases(field, n, shape2):
-                    yield PairRelObj._trusted(field, d1, d2, basis1, basis2)
+            yield tuple(mats)
+
+    def _move(self, v, g, g_inv, mats) -> tuple:
+        image = []
+        for a, m in zip(self.quiver.arrows, mats):
+            if a.target == v:
+                m = g @ m
+            if a.source == v:
+                m = m @ g_inv
+            image.append(m)
+        entries = itertools.chain.from_iterable(m.entries for m in image)
+        return tuple(image), _base_q(entries, self.field.p)
+
+    def build(self, mats) -> QuiverRep:
+        return QuiverRep(self.field, self.quiver, self.dims, mats)
 
 
-# -- invariant prefilter ----------------------------------------------------------
+class _RelationSpace:
+    """Tuples of subspaces of k^n (one for LinRel1, two for PairRel), each
+    held as the reduced row echelon form whose rows span it (the transpose
+    of its canonical basis) and indexed by its position in _echelon_bases
+    order; the index of a pair is index_1 * S + index_2 with S the number of
+    subspaces.  Each group element acts on k^n as an invertible matrix G,
+    by basis -> column_echelon(G basis), that is rows -> rref(rows G^T)."""
+
+    def __init__(self, field: FieldSpec, n: int, group, arity: int, make):
+        self.field, self.n, self.arity, self.make = field, n, arity, make
+        q = field.p
+        self.shapes = {}  # pivots -> (index of the first subspace, free slots)
+        offset = 0
+        for _, pivots in _echelon_shapes(n):
+            free = _echelon_free_positions(n, pivots)
+            self.shapes[pivots] = (offset, [i * n + j for i, j in free])
+            offset += q ** len(free)
+        self.count = offset
+        self.moves = [functools.partial(self._move, g.transpose()) for g in group]
+
+    def _subspaces(self):
+        for shape in _echelon_shapes(self.n):
+            for basis in _echelon_bases(self.field, self.n, shape):
+                yield basis.transpose()
+
+    def states(self):
+        if self.arity == 1:
+            return ((rows,) for rows in self._subspaces())
+        return itertools.product(list(self._subspaces()), repeat=self.arity)
+
+    def _move(self, g_t, state) -> tuple:
+        image = []
+        index = 0
+        for rows in state:
+            reduced, _, pivots = rref(rows @ g_t)
+            image.append(reduced)
+            start, free = self.shapes[pivots]
+            index = index * self.count + start
+            index += _base_q((reduced.entries[k] for k in free), self.field.p)
+        return tuple(image), index
+
+    def build(self, state):
+        return self.make(*(rows.transpose() for rows in state))
 
 
-def _rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
-def _fingerprint_rep(rep: QuiverRep) -> tuple:
-    quiver = rep.quiver
-    ranks = tuple(sorted(_rank(rep.mat(a.name)) for a in quiver.arrows))
-    pair_ranks = []
-    for i, a in enumerate(quiver.arrows):
-        for b in quiver.arrows[i + 1 :]:
-            if a.target == b.target:
-                pair_ranks.append(_rank(hstack(rep.mat(a.name), rep.mat(b.name))))
-    return (ranks, tuple(sorted(pair_ranks)), end_dim(rep))
-
-
-def _neg(m: Matrix) -> Matrix:
-    f = m.field
-    return Matrix(f, m.rows, m.cols, [f.neg(x) for x in m.entries])
-
-
-def _match_dim(ta: Matrix, ba: Matrix, tb: Matrix, bb: Matrix) -> int:
-    """dim of { (ta u, bb v) : ba u = tb v } — the dimension of a composite
-    relation, computed directly from ranks of stacked blocks."""
-    f = ta.field
-    r1, r2 = ta.cols, tb.cols
-    m1 = hstack(ba, _neg(tb))
-    m2 = vstack(
-        hstack(ta, Matrix.zeros(f, ta.rows, r2)),
-        hstack(Matrix.zeros(f, bb.rows, r1), bb),
-        m1,
+def _census_space(category: str, field: FieldSpec, dims):
+    if category in QUIVERS:
+        return _QuiverSpace(field, QUIVERS[category], dims)
+    if category == "LinRel1":
+        (d,) = dims
+        group = [direct_sum(g, g) for g in _gl_generators(field, d)]
+        return _RelationSpace(
+            field, 2 * d, group, 1, lambda b: RelObj._trusted(field, d, d, b)
+        )
+    d1, d2 = dims
+    one1, one2 = Matrix.identity(field, d1), Matrix.identity(field, d2)
+    group = [direct_sum(g, one2) for g in _gl_generators(field, d1)]
+    group += [direct_sum(one1, g) for g in _gl_generators(field, d2)]
+    return _RelationSpace(
+        field,
+        d1 + d2,
+        group,
+        2,
+        lambda b1, b2: PairRelObj._trusted(field, d1, d2, b1, b2),
     )
-    return rref(m2).rank - rref(m1).rank
 
 
-def _fingerprint_lrel(x: RelObj) -> tuple:
-    top, bottom = x.top, x.bottom
-    return (
-        x.rel_dim,
-        _rank(top),
-        _rank(bottom),
-        _match_dim(top, bottom, top, bottom),
-        _match_dim(top, bottom, bottom, top),
-        _match_dim(bottom, top, top, bottom),
-        len(lrel_hom_basis(x, x)),
-    )
-
-
-def _fingerprint_pairrel(x: PairRelObj) -> tuple:
-    r1, r2 = x.rel1, x.rel2
-    t1, b1 = r1.top, r1.bottom
-    t2, b2 = r2.top, r2.bottom
-    return (
-        r1.rel_dim,
-        r2.rel_dim,
-        _rank(t1),
-        _rank(b1),
-        _rank(t2),
-        _rank(b2),
-        _match_dim(t1, b1, b2, t2),
-        _match_dim(t2, b2, b1, t1),
-        len(rel_hom_basis(x, x)),
-    )
-
-
-# -- GF(2) bit kernels ------------------------------------------------------------
-#
-# The binary one-relation census is by far the largest enumeration (417 199
-# subspaces at space dimension 4), so its fingerprint and isomorphism test
-# run on row bitmasks instead of Matrix values.  The bit test is exhaustive
-# over morphism-space combinations, hence exact; agreement with the generic
-# path is covered by tests.
-
-
-def _rank_bits(rows) -> int:
-    pivots = []
-    rank = 0
-    for row in rows:
-        cur = row
-        for bit, prow in pivots:
-            if cur & bit:
-                cur ^= prow
-        if cur:
-            pivots.append((cur & -cur, cur))
-            rank += 1
-    return rank
-
-
-def _nullspace_bits(rows, width: int) -> list:
-    """Basis (ints over `width` bits) of the right kernel of the matrix whose
-    rows are the given bitmasks (bit j = column j)."""
-    pivot_rows = []  # (pivot_col, reduced_row)
-    for row in rows:
-        cur = row
-        for pc, prow in pivot_rows:
-            if (cur >> pc) & 1:
-                cur ^= prow
-        if cur:
-            pc = (cur & -cur).bit_length() - 1
-            for idx, (opc, oprow) in enumerate(pivot_rows):
-                if (oprow >> pc) & 1:
-                    pivot_rows[idx] = (opc, oprow ^ cur)
-            pivot_rows.append((pc, cur))
-    pivot_cols = {pc for pc, _ in pivot_rows}
-    basis = []
-    for free in range(width):
-        if free in pivot_cols:
+def _orbits(space, total: int):
+    """Yield (representative state, orbit size) for every orbit, in order of
+    the representatives' first appearance in the canonical enumeration."""
+    visited = bytearray((total + 7) >> 3)
+    for start, first in enumerate(space.states()):
+        if visited[start >> 3] >> (start & 7) & 1:
             continue
-        v = 1 << free
-        for pc, prow in pivot_rows:
-            if (prow >> free) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+        visited[start >> 3] |= 1 << (start & 7)
+        size = 1
+        frontier = deque([first])
+        while frontier:
+            state = frontier.popleft()
+            for move in space.moves:
+                image, index = move(state)
+                byte, bit = index >> 3, 1 << (index & 7)
+                if not visited[byte] & bit:
+                    visited[byte] |= bit
+                    size += 1
+                    frontier.append(image)
+        yield first, size
 
 
-def _lrel_bits(x: RelObj):
-    """Row and column bitmasks of the two coordinate blocks of the basis."""
-    d, r = x.dim1, x.rel_dim
-    ent = x.basis.entries
-    rows_top = [
-        sum(1 << b for b in range(r) if ent[i * r + b]) for i in range(d)
-    ]
-    rows_bottom = [
-        sum(1 << b for b in range(r) if ent[(d + i) * r + b]) for i in range(d)
-    ]
-    cols_top = [
-        sum(1 << j for j in range(d) if ent[j * r + b]) for b in range(r)
-    ]
-    cols_bottom = [
-        sum(1 << j for j in range(d) if ent[(d + j) * r + b]) for b in range(r)
-    ]
-    return rows_top, rows_bottom, cols_top, cols_bottom
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _ann_bits_of(basis: Matrix) -> tuple:
-    """Annihilator of the column span, as bitmask vectors."""
-    n, r = basis.rows, basis.cols
-    ent = basis.entries
-    rows = [sum(1 << i for i in range(n) if ent[i * r + b]) for b in range(r)]
-    return tuple(_nullspace_bits(rows, n))
-
-
-def _lrel_hom_rows_gf2(src_ct, src_cb, tgt_ann, d: int) -> list:
-    """Constraint rows (bits over d*d unknowns f_ij at bit i*d+j) for
-    q (f+f) basis = 0 over all target annihilator vectors q."""
-    rows = []
-    mask = (1 << d) - 1
-    for q in tgt_ann:
-        qt = q & mask
-        qb = q >> d
-        for ct, cb in zip(src_ct, src_cb):
-            row = 0
-            for i in range(d):
-                x = ct if (qt >> i) & 1 else 0
-                if (qb >> i) & 1:
-                    x ^= cb
-                if x:
-                    row ^= x << (i * d)
-            rows.append(row)
-    return rows
-
-
-def _match_bits(ta, ba, tb, bb, r: int) -> int:
-    m1 = [b | (t << r) for b, t in zip(ba, tb)]
-    m2 = list(ta) + [x << r for x in bb] + m1
-    return _rank_bits(m2) - _rank_bits(m1)
-
-
-def _fingerprint_lrel_gf2(x: RelObj) -> tuple:
-    d, r = x.dim1, x.rel_dim
-    rt, rb, ct, cb = _lrel_bits(x)
-    hom_rows = _lrel_hom_rows_gf2(ct, cb, _ann_bits_of(x.basis), d)
-    return (
-        r,
-        _rank_bits(rt),
-        _rank_bits(rb),
-        _match_bits(rt, rb, rt, rb, r),
-        _match_bits(rt, rb, rb, rt, r),
-        _match_bits(rb, rt, rt, rb, r),
-        d * d - _rank_bits(hom_rows),
-    )
-
-
-def _lrel_iso_gf2(a: RelObj, b: RelObj) -> bool:
-    """Exact isomorphism test in the one-space relation category over F_2:
-    exhaustive search for an invertible f in Hom(a, b), on bitmasks."""
-    if a.rel_dim != b.rel_dim or a.dim1 != b.dim1:
-        return False
-    d = a.dim1
-    if d == 0:
-        return True
-    _, _, ct, cb = _lrel_bits(a)
-    rows = _lrel_hom_rows_gf2(ct, cb, _ann_bits_of(b.basis), d)
-    hom = _nullspace_bits(rows, d * d)
-    if not hom:
-        return False
-    h = len(hom)
-    mask = (1 << d) - 1
-    mats = [[(v >> (i * d)) & mask for i in range(d)] for v in hom]
-    rows_f = [0] * d
-    prev = 0
-    for g in range(1, 1 << h):
-        gray = g ^ (g >> 1)
-        k = (gray ^ prev).bit_length() - 1
-        prev = gray
-        mrows = mats[k]
-        for i in range(d):
-            rows_f[i] ^= mrows[i]
-        if _rank_bits(rows_f) == d:
-            return True
-    return False
-
-
-def _fingerprint(obj: CensusObject) -> tuple:
-    if isinstance(obj, QuiverRep):
-        return _fingerprint_rep(obj)
-    if isinstance(obj, PairRelObj):
-        return _fingerprint_pairrel(obj)
-    if obj.field.p == 2:
-        return _fingerprint_lrel_gf2(obj)
-    return _fingerprint_lrel(obj)
-
-
-def _census_iso(a: CensusObject, b: CensusObject, seed: int = 0) -> bool:
-    if isinstance(a, QuiverRep):
-        return is_isomorphic(a, b, seed=seed)
-    if isinstance(a, PairRelObj):
-        return rel_is_isomorphic(a, b, seed=seed)
-    if a.field.p == 2:
-        return _lrel_iso_gf2(a, b)
-    return lrel_is_isomorphic(a, b, seed=seed)
+# -- verdicts ---------------------------------------------------------------------
 
 
 def _object_dims(obj: CensusObject) -> tuple:
@@ -490,37 +389,6 @@ def _object_dims(obj: CensusObject) -> tuple:
     if isinstance(obj, PairRelObj):
         return (obj.dim1, obj.dim2, obj.basis1.cols, obj.basis2.cols)
     return (obj.dim1, obj.dim2, obj.rel_dim)
-
-
-# -- bucketing and merge ----------------------------------------------------------
-
-
-class _Buckets:
-    """Ordered iso-class accumulator keyed by fingerprint."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.by_fp: dict = {}
-        self.order: list = []  # [fp, representative, count] in first-seen order
-
-    def add(self, fp: tuple, obj: CensusObject, count: int = 1) -> None:
-        bucket = self.by_fp.setdefault(fp, [])
-        for entry in bucket:
-            if _census_iso(entry[1], obj, seed=self.seed):
-                entry[2] += count
-                return
-        entry = [fp, obj, count]
-        bucket.append(entry)
-        self.order.append(entry)
-
-
-def _run_partition(args) -> list:
-    category, field, dims, key, use_prefilter, seed = args
-    buckets = _Buckets(seed)
-    for obj in _iter_partition(category, field, dims, key):
-        fp = _fingerprint(obj) if use_prefilter else ()
-        buckets.add(fp, obj)
-    return [(fp, obj, count) for fp, obj, count in buckets.order]
 
 
 def _decide_indecomposable(obj: CensusObject, seed: int) -> bool:
@@ -539,45 +407,51 @@ def _decide_indecomposable(obj: CensusObject, seed: int) -> bool:
     return verdict.indecomposable
 
 
+def _verdicts(obj: CensusObject, seed: int) -> tuple:
+    """(indecomposable, tag) of one class representative."""
+    indec = _decide_indecomposable(obj, seed)
+    tag = None
+    if indec:
+        try:
+            tag = classify_indecomposable(obj, seed=seed)
+        except UnclassifiedSummand:
+            tag = None
+    return indec, tag
+
+
 def census(
     category: str,
     field: FieldSpec,
     dims,
     *,
     workers: int = 1,
-    use_prefilter: bool = True,
     seed: int = 0,
 ) -> CensusReport:
-    """Enumerate every object at the given dimension vector, bucket into
-    isomorphism classes, and report orbit sizes, indecomposability and
-    canonical-tag matches (tag None on an indecomposable class means
-    UNMATCHED; decomposable classes carry no tag)."""
+    """Enumerate every object at the given dimension vector, split the
+    objects into isomorphism classes by walking the orbits of
+    prod_v GL(d_v, q), and report each class's first-seen representative,
+    orbit size, indecomposability and canonical-tag match (tag None on an
+    indecomposable class means UNMATCHED; decomposable classes carry no
+    tag).  With workers > 1 the representatives are decided and classified
+    in that many processes; the report does not depend on the count."""
     dims = _check_inputs(category, field, dims)
-    keys = _partition_keys(category, field, dims)
-    jobs = [(category, field, dims, key, use_prefilter, seed) for key in keys]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_partition, jobs, chunksize=8))
-    else:
-        parts = [_run_partition(job) for job in jobs]
-
-    merged = _Buckets(seed)
-    for part in parts:
-        for fp, obj, count in part:
-            merged.add(fp, obj, count)
-
-    entries = []
-    for fp, obj, count in merged.order:
-        indec = _decide_indecomposable(obj, seed)
-        tag = None
-        if indec:
-            try:
-                tag = classify_indecomposable(obj, seed=seed)
-            except UnclassifiedSummand:
-                tag = None
-        entries.append(ClassEntry(obj, count, indec, tag))
-
     total = enumeration_size(category, field, dims)
+    space = _census_space(category, field, dims)
+    orbits = [(space.build(state), size) for state, size in _orbits(space, total)]
+
+    reps = [obj for obj, _ in orbits]
+    decide = functools.partial(_verdicts, seed=seed)
+    if workers > 1 and len(reps) > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            verdicts = list(pool.map(decide, reps))
+    else:
+        verdicts = [decide(obj) for obj in reps]
+    entries = [
+        ClassEntry(obj, size, indec, tag)
+        for (obj, size), (indec, tag) in zip(orbits, verdicts)
+    ]
+
     found = sum(e.orbit_size for e in entries)
     if found != total:
         raise ShapeError(
@@ -592,7 +466,6 @@ def census_sweep(
     max_total_dim: int,
     *,
     workers: int = 1,
-    use_prefilter: bool = True,
     seed: int = 0,
 ) -> list:
     """Run census over every dimension vector with total at most
@@ -614,14 +487,7 @@ def census_sweep(
     reports = []
     for dims in vectors:
         try:
-            report = census(
-                category,
-                field,
-                dims,
-                workers=workers,
-                use_prefilter=use_prefilter,
-                seed=seed,
-            )
+            report = census(category, field, dims, workers=workers, seed=seed)
         except TooLarge as exc:
             warnings.warn(
                 f"census sweep skipped {category} dims {dims}: {exc}",

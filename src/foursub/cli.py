@@ -326,7 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     _add_seed(p)
     _add_format(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers for the decide/classify stage",
+    )
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("rel-compose", help="compose two relations (diagram order)")

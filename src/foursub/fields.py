@@ -2,11 +2,9 @@
 
 Elements are represented by raw values (canonical residues ``0..p-1`` as
 ``int`` for prime fields, reduced :class:`fractions.Fraction` for the
-rationals).  :class:`Scalar` wraps a raw value together with its
-:class:`FieldSpec` for the public operator API; the matrix layer works on raw
-values directly for speed.  Polynomials over either field live here as well,
-including irreducibility testing and the factorization helpers the
-decomposition machinery relies on.
+rationals); :class:`FieldSpec` supplies the arithmetic on them.  Polynomials
+over either field live here as well, including irreducibility testing and
+the factorization helpers the decomposition machinery relies on.
 """
 
 from __future__ import annotations
@@ -174,80 +172,6 @@ QQ = FieldSpec.rationals()
 def GF(p: int) -> FieldSpec:
     """The prime field with ``p`` elements."""
     return FieldSpec.prime(p)
-
-
-# ---------------------------------------------------------------------------
-# Scalar wrapper
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element in canonical form, tied to its field."""
-
-    field: FieldSpec
-    value: object  # int residue or Fraction
-
-    @staticmethod
-    def of(field: FieldSpec, x) -> "Scalar":
-        return Scalar(field, field.convert(x))
-
-    def _check(self, other: "Scalar") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field.name} vs {other.field.name}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __str__(self) -> str:
-        return self.field.format_scalar(self.value)
-
-
-# The ``field_ops`` family on Scalars.
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def div(a: Scalar, b: Scalar) -> Scalar:
-    return a / b
-
-
-def neg(a: Scalar) -> Scalar:
-    return -a
-
-
-def inv(a: Scalar) -> Scalar:
-    return a.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,11 @@ class PairRelObj:
 
     @property
     def rel1(self) -> RelObj:
-        return RelObj(self.field, self.dim1, self.dim2, self.basis1)
+        return RelObj._trusted(self.field, self.dim1, self.dim2, self.basis1)
 
     @property
     def rel2(self) -> RelObj:
-        return RelObj(self.field, self.dim1, self.dim2, self.basis2)
+        return RelObj._trusted(self.field, self.dim1, self.dim2, self.basis2)
 
     def __eq__(self, other) -> bool:
         return (

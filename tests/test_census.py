@@ -1,24 +1,33 @@
 """Census tests: frozen class counts from independent enumeration, orbit
-accounting, prefilter/worker equivalence, guards, and the GF(2) bit-kernel
-agreement with the generic isomorphism test."""
+accounting, agreement of the orbit walk with pairwise isomorphism tests,
+the generating sets of GL(d, q), worker equivalence, and guards."""
 
-import random
+import itertools
 
+import numpy as np
 import pytest
 
 from foursub.canon import format_tag
 from foursub.census import (
     COMPONENT_CAP,
+    _census_space,
     _echelon_bases,
     _echelon_shapes,
-    _lrel_iso_gf2,
+    _gl_generators,
     census,
     census_sweep,
     enumeration_size,
 )
 from foursub.errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from foursub.fields import GF, QQ
-from foursub.relations import RelObj, lrel_is_isomorphic, random_rel
+from foursub.matrices import Matrix
+from foursub.quivers import QUIVERS, QuiverRep, is_isomorphic
+from foursub.relations import (
+    PairRelObj,
+    RelObj,
+    lrel_is_isomorphic,
+    rel_is_isomorphic,
+)
 
 
 def signature(report):
@@ -141,13 +150,38 @@ def test_orbit_sizes_account_for_every_object(category, dims):
     assert report.total == enumeration_size(category, GF(2), dims)
 
 
-def test_class_counts_independent_of_prefilter():
-    base = census("K", GF(2), (2, 1))
-    plain = census("K", GF(2), (2, 1), use_prefilter=False)
-    assert signature(base) == signature(plain)
-    base = census("LinRel1", GF(2), (2,))
-    plain = census("LinRel1", GF(2), (2,), use_prefilter=False)
-    assert signature(base) == signature(plain)
+def gl_order(d, q):
+    order = 1
+    for i in range(d):
+        order *= q**d - q**i
+    return order
+
+
+def group_order(category, dims, q):
+    """|prod_v GL(d_v, q)| for the group whose orbits are the classes."""
+    if category == "LinRel1":
+        return gl_order(dims[0], q)
+    order = 1
+    for d in dims:
+        order *= gl_order(d, q)
+    return order
+
+
+@pytest.mark.parametrize(
+    "category,dims,q",
+    [
+        ("K", (2, 2), 2),
+        ("D", (1, 2, 1), 3),
+        ("F", (2, 1, 1, 1, 1), 2),
+        ("LinRel1", (2,), 3),
+        ("PairRel", (1, 2), 2),
+        ("PairRel", (1, 1), 5),
+    ],
+)
+def test_orbit_sizes_divide_group_order(category, dims, q):
+    order = group_order(category, dims, q)
+    report = census(category, GF(q), dims)
+    assert all(order % c.orbit_size == 0 for c in report.classes)
 
 
 def test_worker_count_does_not_change_report():
@@ -227,7 +261,7 @@ def test_sweep_raises_on_unmatched_class(monkeypatch):
         census_sweep("K", GF(2), 1)
 
 
-# -- GF(2) bit kernels -----------------------------------------------------------
+# -- the orbit walk ----------------------------------------------------------------
 
 
 def test_enumerated_bases_are_canonical():
@@ -240,12 +274,92 @@ def test_enumerated_bases_are_canonical():
     assert count == 67
 
 
-def test_bit_isomorphism_agrees_with_generic():
-    f = GF(2)
-    rng = random.Random(11)
-    for _ in range(150):
-        d = rng.randint(1, 3)
-        a = random_rel(f, d, d, rng.randint(0, 2 * d), rng)
-        b = random_rel(f, d, d, rng.randint(0, 2 * d), rng)
-        assert _lrel_iso_gf2(a, b) == lrel_is_isomorphic(a, b)
-        assert _lrel_iso_gf2(a, a) and _lrel_iso_gf2(b, b)
+def closure_size(gens, d, q):
+    """Number of products of the generators, by breadth-first search over
+    d x d matrices over F_q coded as base-q integers."""
+    g = np.array([m.to_lists() for m in gens], dtype=np.int64).reshape(-1, d, d)
+    weights = q ** np.arange(d * d, dtype=np.int64)
+    seen = np.zeros(q ** (d * d), dtype=bool)
+    frontier = np.eye(d, dtype=np.int64)[None]
+    seen[frontier.reshape(1, -1) @ weights] = True
+    while len(frontier):
+        images = (np.einsum("nij,kjl->knil", frontier, g) % q).reshape(-1, d, d)
+        codes, first = np.unique(images.reshape(-1, d * d) @ weights, return_index=True)
+        new = ~seen[codes]
+        seen[codes[new]] = True
+        frontier = images[first[new]]
+    return int(seen.sum())
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generators_reach_all_of_gl(d, q):
+    gens = _gl_generators(GF(q), d)
+    assert all(m.rank == d for m in gens)
+    assert closure_size(gens, d, q) == gl_order(d, q)
+
+
+@pytest.mark.parametrize(
+    "category,dims",
+    [("K", (2, 1)), ("C", (1, 2)), ("LinRel1", (2,)), ("PairRel", (1, 2))],
+)
+def test_move_indices_follow_the_enumeration(category, dims):
+    space = _census_space(category, GF(3), dims)
+    position = {state: i for i, state in enumerate(space.states())}
+    assert len(position) == enumeration_size(category, GF(3), dims)
+    for state in position:
+        for move in space.moves:
+            image, index = move(state)
+            assert position[image] == index
+
+
+def enumerate_objects(category, field, dims):
+    """Every object of a census cell in canonical order, built directly."""
+    if category in QUIVERS:
+        quiver = QUIVERS[category]
+        shapes = [
+            (dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
+            for a in quiver.arrows
+        ]
+        cells = sum(t * s for t, s in shapes)
+        for values in itertools.product(field.elements(), repeat=cells):
+            mats, pos = [], 0
+            for t, s in shapes:
+                mats.append(Matrix(field, t, s, values[pos : pos + t * s]))
+                pos += t * s
+            yield QuiverRep(field, quiver, dims, mats)
+        return
+    n = 2 * dims[0] if category == "LinRel1" else sum(dims)
+    bases = [b for shape in _echelon_shapes(n) for b in _echelon_bases(field, n, shape)]
+    if category == "LinRel1":
+        for b in bases:
+            yield RelObj(field, dims[0], dims[0], b)
+    else:
+        for b1, b2 in itertools.product(bases, repeat=2):
+            yield PairRelObj(field, dims[0], dims[1], b1, b2)
+
+
+ISOMORPHIC = {"LinRel1": lrel_is_isomorphic, "PairRel": rel_is_isomorphic}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "category,dims",
+    [("K", (2, 1)), ("LinRel1", (2,)), ("PairRel", (1, 1)), ("D", (1, 2, 1))],
+)
+def test_census_partition_matches_pairwise_isomorphism(category, dims, p):
+    """First-seen representatives and class sizes from pairwise isomorphism
+    tests against the representatives found so far."""
+    iso = ISOMORPHIC.get(category, is_isomorphic)
+    classes = []  # [representative, size]
+    for obj in enumerate_objects(category, GF(p), dims):
+        for entry in classes:
+            if iso(entry[0], obj):
+                entry[1] += 1
+                break
+        else:
+            classes.append([obj, 1])
+    report = census(category, GF(p), dims)
+    assert [(c.representative, c.orbit_size) for c in report.classes] == [
+        tuple(entry) for entry in classes
+    ]

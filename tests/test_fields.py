@@ -10,7 +10,6 @@ from foursub.fields import (
     QQ,
     FieldSpec,
     Poly,
-    Scalar,
     format_poly,
     is_irreducible,
     monic_irreducibles,
@@ -70,15 +69,6 @@ class TestFieldSpec:
             QQ.parse_scalar("3/0")
         with pytest.raises(ParseError):
             F2.parse_scalar("x")
-
-    def test_scalar_wrapper(self):
-        a = Scalar.of(F5, 3)
-        b = Scalar.of(F5, 4)
-        assert (a + b).value == 2
-        assert (a * b).value == 2
-        assert (a / b).value == (3 * 4) % 5  # 4^{-1} = 4 in F5
-        assert (-a).value == 2
-        assert a.inverse().value == 2
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
