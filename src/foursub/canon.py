@@ -29,6 +29,7 @@ from .matrices import (
     i_left,
     i_right,
     i_up,
+    is_invertible,
     jordan_plus,
     vstack,
 )
@@ -827,18 +828,21 @@ def _embedded_canon(tag: IndecompTag, field: FieldSpec) -> QuiverRep:
     return _embed(tag.category, canon_rep(tag, field))
 
 
-def _in_category_iso(category: str, a, b, seed: int) -> bool:
+def _basis_iso(category: str, a, b) -> bool:
+    """Is some element of the in-category hom basis a -> b an isomorphism?
+    Exact when a or b is indecomposable (quivers._iso_to_indecomposable);
+    a and b have the same shape."""
     if category in ("F", "S", "D", "K", "C"):
-        from .quivers import is_isomorphic
+        from .quivers import _iso_to_indecomposable
 
-        return is_isomorphic(a, b, seed=seed)
+        return _iso_to_indecomposable(a, b) is not None
     if category == "LinRel1":
-        from .relations import lrel_is_isomorphic
+        from .relations import lrel_hom_basis
 
-        return lrel_is_isomorphic(a, b, seed=seed)
-    from .relations import rel_is_isomorphic
+        return any(is_invertible(h) for h in lrel_hom_basis(a, b))
+    from .relations import rel_hom_basis
 
-    return rel_is_isomorphic(a, b, seed=seed)
+    return any(h.is_invertible for h in rel_hom_basis(a, b))
 
 
 def _category_of(obj) -> str:
@@ -859,15 +863,19 @@ def classify_indecomposable(
     Stage one compares inside the category (exact table membership); stage
     two compares the embedded four-subspace representations under all arm
     permutations, which absorbs the symmetries the tables quotient out.
+    Both stages test for an invertible hom-basis element.  Canonical
+    representatives are indecomposable, and so are their embeddings, so
+    each test is exact whatever obj is.  The seed is unused and kept for
+    the signature.
     """
+    from .quivers import _iso_to_indecomposable
+
     category = _category_of(obj)
     field = obj.field
     shape = _object_shape(category, obj)
     for tag in _tags_for_shape(category, shape, field, candidates):
-        if _in_category_iso(category, obj, canon_rep(tag, field), seed):
+        if _basis_iso(category, obj, canon_rep(tag, field)):
             return tag
-    from .quivers import is_isomorphic
-
     embedded = _embed(category, obj)
     total = embedded.total_dim
     for tag in _all_tags_with_embedded_total(category, total, field, candidates):
@@ -876,7 +884,7 @@ def classify_indecomposable(
             permuted = arm_permute(embedded, perm)
             if permuted.dims != target.dims:
                 continue
-            if is_isomorphic(permuted, target, seed=seed):
+            if _iso_to_indecomposable(permuted, target) is not None:
                 return tag
     raise UnclassifiedSummand(
         f"no table entry matches an indecomposable of shape {shape} over {field.name}"

@@ -408,72 +408,45 @@ def summand_projections(reps: list[QuiverRep]) -> list[RepMorphism]:
 # -- isomorphism testing --------------------------------------------------------
 
 
-def _try_combination(homs: list[RepMorphism], coeffs) -> Optional[RepMorphism]:
-    """Sum coeff*hom and return it iff invertible at every vertex."""
-    f = homs[0].source.field
-    n_vert = len(homs[0].comps)
-    comps = []
-    # check the smallest components first for an early exit
-    order = sorted(range(n_vert), key=lambda i: homs[0].comps[i].rows)
-    built: dict[int, Matrix] = {}
-    for i in order:
-        acc = None
-        for h, c in zip(homs, coeffs):
-            if not c:
-                continue
-            term = h.comps[i] if c == f.one() else h.comps[i].scale(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Matrix.zeros(f, homs[0].comps[i].rows, homs[0].comps[i].cols)
-        if not is_invertible(acc):
-            return None
-        built[i] = acc
-    comps = [built[i] for i in range(n_vert)]
-    return RepMorphism(homs[0].source, homs[0].target, comps)
-
-
-def _exhaustive_iso(homs: list[RepMorphism]) -> Optional[RepMorphism]:
-    """Search all coefficient vectors up to scalar (first nonzero coord = 1)."""
-    f = homs[0].source.field
-    d = len(homs)
-    elems = list(f.elements())
-    for lead in range(d):
-        for tail in itertools.product(elems, repeat=d - lead - 1):
-            coeffs = [f.zero()] * lead + [f.one()] + list(tail)
-            cand = _try_combination(homs, coeffs)
-            if cand is not None:
-                return cand
-    return None
-
-
-def _random_iso(homs: list[RepMorphism], seed: int) -> Optional[RepMorphism]:
-    f = homs[0].source.field
-    d = len(homs)
+def _first_invertible(homs: list[RepMorphism]) -> Optional[RepMorphism]:
+    """The first morphism in homs that is invertible at every vertex."""
     for h in homs:
-        if all(is_invertible(c) for c in h.comps):
+        # check the smallest components first for an early exit
+        if all(is_invertible(c) for c in sorted(h.comps, key=lambda c: c.rows)):
             return h
-    cand = _try_combination(homs, [f.one()] * d)
-    if cand is not None:
-        return cand
-    rng = random.Random(seed)
-    for _ in range(256):
-        if f.is_prime_field:
-            coeffs = [rng.randrange(f.p) for _ in range(d)]
-        else:
-            coeffs = [f.convert(rng.randint(-3, 3)) for _ in range(d)]
-        cand = _try_combination(homs, coeffs)
-        if cand is not None:
-            return cand
     return None
+
+
+def _iso_to_indecomposable(v: QuiverRep, w: QuiverRep) -> Optional[RepMorphism]:
+    """An isomorphism v -> w taken from the basis of Hom(v, w), or None.
+
+    None is certified when v or w is indecomposable.  Its endomorphism ring
+    is then local, so if phi: v -> w is an isomorphism the non-invertible
+    morphisms form the proper subspace phi . rad End v of Hom(v, w), and
+    every basis of Hom(v, w) has an element outside it (Auslander-Reiten-
+    Smalø, Representation Theory of Artin Algebras, ch. I-II).
+    """
+    if v.dims != w.dims:
+        return None
+    return _first_invertible(hom_basis(v, w))
 
 
 def find_isomorphism(v: QuiverRep, w: QuiverRep, seed: int = 0) -> Optional[RepMorphism]:
-    """An invertible morphism v -> w, or None if one is not found.
+    """An isomorphism v -> w, or None when v and w are not isomorphic.
 
-    Layering: dims filter, exhaustive coefficient search when |field|^dim Hom
-    is within the enumeration bound (certified), then seeded random search.
-    A returned morphism is always a genuine isomorphism; None from the
-    exhaustive layer is certified, None from the random layer is not.
+    Both answers are certified on every field:
+
+    * a hom-basis element invertible at every vertex is returned as it is;
+      this settles every pair in which v or w is indecomposable;
+    * dim Hom(v, w) must equal dim End v and dim End w;
+    * otherwise the certified Krull-Schmidt pieces of v and w are matched
+      one to one by the hom-basis test, and the witness
+      P_w (f_1 + ... + f_n) P_v^-1 is assembled from the piece inclusions
+      P and the piece isomorphisms f_k, then checked before it is returned.
+
+    Raises IndecomposabilityUndecided when a piece cannot be certified
+    indecomposable.  The seed steers the search for splitting
+    endomorphisms, never the answer.
     """
     if v.quiver is not w.quiver:
         raise QuiverMismatch(f"{v.quiver.name} vs {w.quiver.name}")
@@ -484,59 +457,40 @@ def find_isomorphism(v: QuiverRep, w: QuiverRep, seed: int = 0) -> Optional[RepM
     if v.total_dim == 0:
         return RepMorphism(v, w, [Matrix.zeros(v.field, 0, 0) for _ in v.dims])
     homs = hom_basis(v, w)
-    if not homs:
+    found = _first_invertible(homs)
+    if found is not None:
+        return found
+    if not len(homs) == end_dim(v) == end_dim(w):
         return None
-    d = len(homs)
-    f = v.field
-    if f.is_prime_field and f.p**d <= _ENUM_BOUND:
-        return _exhaustive_iso(homs)
-    return _random_iso(homs, seed)
+    unmatched = _pieces(w, seed)
+    matched = []  # (inclusion into v, inclusion into w, piece isomorphism)
+    for u, inc_u in _pieces(v, seed):
+        for i, (x, inc_x) in enumerate(unmatched):
+            f = _iso_to_indecomposable(u, x)
+            if f is not None:
+                matched.append((inc_u, inc_x, f))
+                del unmatched[i]
+                break
+        else:
+            return None
+    comps = []
+    for k in range(len(v.dims)):
+        p_v = hstack(*[inc_u[k] for inc_u, _, _ in matched])
+        p_w = hstack(*[inc_x[k] for _, inc_x, _ in matched])
+        block = mat_direct_sum(*[f.comps[k] for _, _, f in matched])
+        p_v_inv = inverse(p_v)
+        if p_v_inv is None:
+            raise ShapeError("piece inclusions do not span the source")
+        comps.append(p_w @ block @ p_v_inv)
+    iso = RepMorphism(v, w, comps)
+    if not (iso.is_valid() and iso.is_invertible):
+        raise ShapeError("assembled isomorphism failed its check")
+    return iso
 
 
 def is_isomorphic(v: QuiverRep, w: QuiverRep, seed: int = 0) -> bool:
-    """Exact within the enumeration bound; falls back to certified
-    invariants plus decompose-and-match beyond it."""
-    if v.quiver is not w.quiver:
-        raise QuiverMismatch(f"{v.quiver.name} vs {w.quiver.name}")
-    if v.field != w.field:
-        raise FieldMismatch(f"{v.field.name} vs {w.field.name}")
-    if v.dims != w.dims:
-        return False
-    if v.total_dim == 0:
-        return True
-    homs = hom_basis(v, w)
-    if not homs:
-        return False
-    d = len(homs)
-    f = v.field
-    if f.is_prime_field and f.p**d <= _ENUM_BOUND:
-        return _exhaustive_iso(homs) is not None
-    if _random_iso(homs, seed) is not None:
-        return True
-    # Certified invariants, then compare Krull-Schmidt decompositions.
-    if len(hom_basis(w, v)) != d:
-        return False
-    if end_dim(v) != end_dim(w):
-        return False
-    try:
-        dv = decompose(v, seed=seed)
-        dw = decompose(w, seed=seed)
-    except IndecomposabilityUndecided:
-        return True  # all invariants matched; accept (random search exhausted)
-    if len(dv) == 1 and len(dw) == 1 and dv[0][1] == 1 and dw[0][1] == 1:
-        # both indecomposable and the random layer failed: invariants agreed
-        return True
-    if sorted(m for _, m in dv) != sorted(m for _, m in dw):
-        return False
-    remaining = list(dw)
-    for u, mult in dv:
-        for i, (x, mx) in enumerate(remaining):
-            if mx == mult and u.dims == x.dims and is_isomorphic(u, x, seed=seed):
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return True
+    """Certified: True exactly when find_isomorphism finds a witness."""
+    return find_isomorphism(v, w, seed) is not None
 
 
 # -- indecomposability and decomposition ---------------------------------------
@@ -571,24 +525,22 @@ def _restrict_to_bases(rep: QuiverRep, bases: list[Matrix]) -> QuiverRep:
 
 
 def _split_by_endo_kernels(rep: QuiverRep, phi: RepMorphism, a_poly, b_poly):
-    """Split rep = ker a(phi) + ker b(phi) for coprime a*b = min poly."""
+    """Split rep = ker a(phi) + ker b(phi) for coprime a*b = min poly; returns
+    the per-vertex bases of the two summands."""
     bases_a = [kernel_basis(poly_eval_matrix(a_poly, c)) for c in phi.comps]
     bases_b = [kernel_basis(poly_eval_matrix(b_poly, c)) for c in phi.comps]
     for ka, kb, d in zip(bases_a, bases_b, rep.dims):
         if ka.cols + kb.cols != d:
             raise ShapeError("coprime kernels do not fill the space")
-    part_a = _restrict_to_bases(rep, bases_a)
-    part_b = _restrict_to_bases(rep, bases_b)
-    if part_a.total_dim == 0 or part_b.total_dim == 0:
+    if all(ka.cols == 0 for ka in bases_a) or all(kb.cols == 0 for kb in bases_b):
         raise ShapeError("degenerate Fitting split")
-    return part_a, part_b
+    return bases_a, bases_b
 
 
-def _split_by_idempotent(rep: QuiverRep, e: RepMorphism):
-    """Split rep = im(e) + ker(e) for an idempotent endomorphism e."""
-    bases_im = [column_span_basis(c) for c in e.comps]
-    bases_ker = [kernel_basis(c) for c in e.comps]
-    return _restrict_to_bases(rep, bases_im), _restrict_to_bases(rep, bases_ker)
+def _split_by_idempotent(e: RepMorphism):
+    """Split rep = im(e) + ker(e) for an idempotent endomorphism e; returns
+    the per-vertex bases of the two summands."""
+    return [column_span_basis(c) for c in e.comps], [kernel_basis(c) for c in e.comps]
 
 
 def _endo_candidates(endos: list[RepMorphism], rep: QuiverRep, seed: int):
@@ -720,7 +672,7 @@ def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
     and a full-degree irreducible minimal polynomial of a commutative
     quotient certifies that E is local.
 
-    Returns ('split', (a, b)), ('indecomposable', True), or None when
+    Returns ('split', (bases_a, bases_b)), ('indecomposable', True), or None when
     inconclusive (the quotient may be a noncommutative division algebra, or
     no primitive element was found within the try budget)."""
     from .fields import poly_factor_list
@@ -861,7 +813,8 @@ def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
 
 
 def _find_splitting(rep: QuiverRep, seed: int = 0):
-    """Returns ('split', (a, b)), ('indecomposable', True) certified, or
+    """Returns ('split', (bases_a, bases_b)) with the per-vertex bases of two
+    complementary summands, ('indecomposable', True) certified, or
     ('indecomposable', False) when only the heuristic layer remains."""
     endos = hom_basis(rep, rep)
     d = len(endos)
@@ -880,7 +833,7 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
         e = _idempotent_search(rep, endos)
         if e is None:
             return ("indecomposable", True)
-        return ("split", _split_by_idempotent(rep, e))
+        return ("split", _split_by_idempotent(e))
     return ("indecomposable", False)
 
 
@@ -896,12 +849,14 @@ def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
     return IndecompVerdict(True, bool(payload))
 
 
-def decompose(v: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
-    """Krull-Schmidt decomposition: pairwise non-isomorphic indecomposable
-    summands with multiplicities, deterministically sorted."""
-    pieces: list[QuiverRep] = []
+def _pieces(v: QuiverRep, seed: int) -> list[tuple[QuiverRep, list[Matrix]]]:
+    """Certified indecomposable pieces of v in split order, each with its
+    inclusion into v: one full-column-rank matrix per vertex, the product
+    of the splitting bases along the piece's split path."""
+    out: list[tuple[QuiverRep, list[Matrix]]] = []
 
-    def recurse(rep: QuiverRep) -> None:
+    def recurse(rep: QuiverRep, inclusion: Optional[list[Matrix]]) -> None:
+        # inclusion is None for v itself
         if rep.total_dim == 0:
             return
         kind, payload = _find_splitting(rep, seed)
@@ -910,17 +865,27 @@ def decompose(v: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
                 raise IndecomposabilityUndecided(
                     f"cannot certify indecomposability at dims {rep.dims} over {rep.field.name}"
                 )
-            pieces.append(rep)
+            if inclusion is None:
+                inclusion = [Matrix.identity(rep.field, d) for d in rep.dims]
+            out.append((rep, inclusion))
             return
-        a, b = payload
-        recurse(a)
-        recurse(b)
+        for bases in payload:
+            piece = _restrict_to_bases(rep, bases)
+            if inclusion is not None:
+                bases = [inc @ b for inc, b in zip(inclusion, bases)]
+            recurse(piece, bases)
 
-    recurse(v)
+    recurse(v, None)
+    return out
+
+
+def decompose(v: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
+    """Krull-Schmidt decomposition: pairwise non-isomorphic indecomposable
+    summands with multiplicities, deterministically sorted."""
     classes: list[tuple[QuiverRep, int]] = []
-    for piece in pieces:
+    for piece, _ in _pieces(v, seed):
         for i, (rep0, mult) in enumerate(classes):
-            if piece.dims == rep0.dims and is_isomorphic(piece, rep0, seed=seed):
+            if _iso_to_indecomposable(piece, rep0) is not None:
                 classes[i] = (rep0, mult + 1)
                 break
         else:

@@ -14,9 +14,7 @@ is still exposed as :func:`rel_split_idempotent`.
 from __future__ import annotations
 
 import functools
-import itertools
-import random
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,8 +40,6 @@ from .matrices import (
     solve,
     vstack,
 )
-
-_ENUM_BOUND = 1 << 20
 
 
 class RelObj:
@@ -463,41 +459,6 @@ def lrel_hom_basis(rho: RelObj, sigma: RelObj) -> list[Matrix]:
     ]
 
 
-def _search_invertible(candidates, combine, check, field, seed):
-    """Shared exhaustive-then-random coefficient search."""
-    d = len(candidates)
-    if d == 0:
-        return None
-    if field.is_prime_field and field.p**d <= _ENUM_BOUND:
-        elems = list(field.elements())
-        for lead in range(d):
-            for tail in itertools.product(elems, repeat=d - lead - 1):
-                coeffs = [field.zero()] * lead + [field.one()] + list(tail)
-                cand = combine(coeffs)
-                if check(cand):
-                    return cand
-        return None
-    for i in range(d):
-        coeffs = [field.zero()] * d
-        coeffs[i] = field.one()
-        cand = combine(coeffs)
-        if check(cand):
-            return cand
-    cand = combine([field.one()] * d)
-    if check(cand):
-        return cand
-    rng = random.Random(seed)
-    for _ in range(256):
-        if field.is_prime_field:
-            coeffs = [rng.randrange(field.p) for _ in range(d)]
-        else:
-            coeffs = [field.convert(rng.randint(-3, 3)) for _ in range(d)]
-        cand = combine(coeffs)
-        if check(cand):
-            return cand
-    return None
-
-
 def _rel_dims_match(rho, sigma) -> bool:
     if (rho.dim1, rho.dim2) != (sigma.dim1, sigma.dim2):
         return False
@@ -509,9 +470,25 @@ def _rel_dims_match(rho, sigma) -> bool:
     return rho.rel_dim == sigma.rel_dim
 
 
+def _as_pair(rho) -> PairRelObj:
+    """A single relation R as the pair (R, R); both have the same morphisms."""
+    if isinstance(rho, PairRelObj):
+        return rho
+    return PairRelObj._trusted(rho.field, rho.dim1, rho.dim2, rho.basis, rho.basis)
+
+
 def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
-    """Both components invertible and relation dimensions equal; the span
-    condition then upgrades automatically to equality."""
+    """Certified isomorphism test for relations and relation pairs.
+
+    With equal relation dimensions a morphism whose two components are
+    invertible is an isomorphism.  True when a hom-basis element is one;
+    this settles every pair in which rho or sigma is indecomposable (see
+    quivers._iso_to_indecomposable).  False when dim Hom(rho, sigma) differs
+    from dim End rho or dim End sigma.  Otherwise the answer is
+    quivers.is_isomorphic on the embeddings under functor 6, which is full
+    and faithful and so reflects isomorphism; a single relation R embeds as
+    the pair (R, R).
+    """
     if rho.field != sigma.field:
         raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
     if isinstance(rho, PairRelObj) != isinstance(sigma, PairRelObj):
@@ -519,50 +496,36 @@ def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
     if not _rel_dims_match(rho, sigma):
         return False
     homs = rel_hom_basis(rho, sigma)
-    if not homs:
-        return rho.dim1 + rho.dim2 == 0
+    if any(h.is_invertible for h in homs):
+        return True
+    if not len(homs) == len(rel_hom_basis(rho, rho)) == len(rel_hom_basis(sigma, sigma)):
+        return False
+    from .functors import apply_functor
+    from .quivers import is_isomorphic
 
-    def combine(coeffs):
-        acc = None
-        for h, c in zip(homs, coeffs):
-            if not c:
-                continue
-            term = h.scale(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            f = rho.field
-            acc = RelMorphism(
-                rho,
-                sigma,
-                Matrix.zeros(f, sigma.dim1, rho.dim1),
-                Matrix.zeros(f, sigma.dim2, rho.dim2),
-            )
-        return acc
-
-    found = _search_invertible(
-        homs, combine, lambda m: m.is_invertible, rho.field, seed
+    return is_isomorphic(
+        apply_functor(6, _as_pair(rho)), apply_functor(6, _as_pair(sigma)), seed
     )
-    return found is not None
 
 
 def lrel_is_isomorphic(rho: RelObj, sigma: RelObj, seed: int = 0) -> bool:
-    """Isomorphism in the one-space category (a single invertible f)."""
+    """Certified isomorphism test in the one-space category (a single
+    invertible f used on both coordinates).
+
+    The same steps as rel_is_isomorphic on the one-space hom bases, with
+    functor 5 as the full and faithful embedding.
+    """
     if (rho.dim1, rho.dim2) != (sigma.dim1, sigma.dim2) or rho.rel_dim != sigma.rel_dim:
         return False
     homs = lrel_hom_basis(rho, sigma)
-    if not homs:
-        return rho.dim1 == 0
+    if any(is_invertible(h) for h in homs):
+        return True
+    if not len(homs) == len(lrel_hom_basis(rho, rho)) == len(lrel_hom_basis(sigma, sigma)):
+        return False
+    from .functors import apply_functor
+    from .quivers import is_isomorphic
 
-    f_field = rho.field
-
-    def combine(coeffs):
-        acc = Matrix.zeros(f_field, sigma.dim1, rho.dim1)
-        for h, c in zip(homs, coeffs):
-            if c:
-                acc = acc + h.scale(c)
-        return acc
-
-    return _search_invertible(homs, combine, is_invertible, f_field, seed) is not None
+    return is_isomorphic(apply_functor(5, rho), apply_functor(5, sigma), seed)
 
 
 # -- idempotent splitting -------------------------------------------------------

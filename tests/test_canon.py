@@ -241,6 +241,17 @@ def test_kronecker_variants_not_isomorphic():
     assert str(classify_indecomposable(two)) == "K:I2(2)"
 
 
+def test_rational_c_variants_not_isomorphic():
+    one = canon_rep(parse_tag("C:I(1)", QQ), QQ)
+    two = canon_rep(parse_tag("C:I2(1)", QQ), QQ)
+    assert not is_isomorphic(one, two)
+    # hom dimensions all agree (4/4/4), so the answer comes from matching
+    # the Krull-Schmidt pieces
+    assert not is_isomorphic(direct_sum(one, one), direct_sum(two, one))
+    conjugated = random_conjugate(two, random.Random(5))
+    assert classify(conjugated) == [(parse_tag("C:I2(1)", QQ), 1)]
+
+
 # -- classification ----------------------------------------------------------
 
 

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from foursub import quivers
 from foursub.errors import (
     FieldMismatch,
+    IndecomposabilityUndecided,
     QuiverMismatch,
     ShapeError,
     ZeroObject,
@@ -165,6 +167,65 @@ class TestIso:
                 for k in range(len(pool)):
                     if rel[(i, j)] and rel[(j, k)]:
                         assert rel[(i, k)]
+
+
+    def test_answers_do_not_depend_on_seed(self):
+        rng = random.Random(23)
+        pool = [random_rep(F2, KQ, (2, 2), rng) for _ in range(8)]
+        answers = [
+            [[find_isomorphism(a, b, seed) is None for b in pool] for a in pool]
+            for seed in range(4)
+        ]
+        assert all(a == answers[0] for a in answers)
+
+
+def _singular_basis_pair(field, parts, seed):
+    """A direct sum and a conjugate of it between which every hom-basis
+    element is singular, so the witness has to be assembled."""
+    total = direct_sum(*parts)
+    conj = random_conjugate(total, random.Random(seed))
+    assert not any(h.is_invertible for h in hom_basis(total, conj))
+    return total, conj
+
+
+class TestAssembledWitness:
+    def test_square_of_indecomposable_over_f2(self):
+        u = k_rep(F2, [[1]], [[0]])
+        v, w = _singular_basis_pair(F2, [u, u], 3)
+        iso = find_isomorphism(v, w)
+        assert iso is not None and iso.is_valid() and iso.is_invertible
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+    def test_mixed_sums(self, field):
+        u = k_rep(field, [[1]], [[0]])
+        w = k_rep(field, [[1]], [[1]])
+        rot = k_rep(field, [[1, 0], [0, 1]], [[0, -1], [1, 0]])
+        for seed, parts in enumerate([[u, w, u], [rot, u, rot], [w, rot, u, w]]):
+            v, x = _singular_basis_pair(field, parts, seed)
+            iso = find_isomorphism(v, x)
+            assert iso is not None and iso.is_valid() and iso.is_invertible
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=["F2", "F5", "Q"])
+    def test_equal_hom_dims_but_not_isomorphic(self, field):
+        # C-representations with alpha = 1, beta = 0 and the reverse:
+        # Hom(a, b) is one-dimensional and singular
+        a = QuiverRep(field, CQ, (1, 1), [Matrix.from_rows(field, r) for r in ([[1]], [[0]])])
+        b = QuiverRep(field, CQ, (1, 1), [Matrix.from_rows(field, r) for r in ([[0]], [[1]])])
+        v = random_conjugate(direct_sum(a, a, b), random.Random(1))
+        w = direct_sum(a, b, b)
+        d = len(hom_basis(v, w))
+        assert d == end_dim(v) == end_dim(w)
+        assert find_isomorphism(v, w) is None
+        assert not is_isomorphic(w, v)
+
+    def test_uncertified_piece_raises(self, monkeypatch):
+        u = k_rep(F2, [[1]], [[0]])
+        v, w = _singular_basis_pair(F2, [u, u], 3)
+        monkeypatch.setattr(
+            quivers, "_find_splitting", lambda rep, seed=0: ("indecomposable", False)
+        )
+        with pytest.raises(IndecomposabilityUndecided):
+            is_isomorphic(v, w)
 
 
 class TestDirectSum:

@@ -4,7 +4,13 @@ import pytest
 
 from foursub.errors import DimensionMismatch, FieldMismatch, NotIdempotent
 from foursub.fields import GF, QQ
-from foursub.matrices import Matrix, jordan_plus
+from foursub.matrices import (
+    Matrix,
+    direct_sum,
+    is_invertible,
+    jordan_plus,
+    random_invertible,
+)
 from foursub.relations import (
     PairRelObj,
     RelMorphism,
@@ -165,6 +171,23 @@ class TestHomIso:
         b = PairRelObj(F3, a.dim1, a.dim2, a.basis2, a.basis1)
         if a.basis1 != a.basis2:
             assert not rel_is_isomorphic(a, b) or a.basis1.cols == a.basis2.cols
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_decomposable_conjugates_through_the_embeddings(self, field):
+        # every hom-basis element between the sums is singular, so the
+        # answer comes from the embedded four-subspace representations
+        r = rel_from_operator(M(field, [[1]]))
+        rho = rel_direct_sum(r, r)
+        zero = rel_from_operator(M(field, [[0]]))
+        rng = random.Random(4)
+        g1, g2 = random_invertible(field, 2, rng), random_invertible(field, 2, rng)
+        sigma = RelObj(field, 2, 2, direct_sum(g1, g2) @ rho.basis)
+        assert not any(h.is_invertible for h in rel_hom_basis(rho, sigma))
+        assert rel_is_isomorphic(rho, sigma)
+        one_space = RelObj(field, 2, 2, direct_sum(g1, g1) @ rho.basis)
+        assert not any(is_invertible(h) for h in lrel_hom_basis(rho, one_space))
+        assert lrel_is_isomorphic(rho, one_space)
+        assert not lrel_is_isomorphic(rho, rel_direct_sum(r, zero))
 
 
 class TestDirectSum:
