@@ -8,13 +8,28 @@ match each indecomposable class against the canonical tag tables.
 
 The isomorphism classes at a fixed dimension vector are the orbits of
 the group G = prod_v GL(d_v, q) acting by change of basis, so the census
-finds them without any isomorphism test: it scans the objects in
-canonical order and walks the orbit of each object not yet visited
-breadth-first under a small generating set of G (the orbit algorithm of
-Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 2005, §4.1).
-Visited objects are marked in a bitmap indexed by their position in the
-canonical enumeration.  The first object of each orbit is its class
-representative, so classes come out in order of first appearance.
+finds them without any isomorphism test, by the orbit algorithm of
+Holt-Eick-O'Brien (*Handbook of Computational Group Theory*, 2005, §4.1)
+on a permutation action:
+
+* The objects of a cell are the integers 0 .. total-1, numbered in
+  canonical order.  The number is mixed-radix over the object's factors:
+  the arrow matrices of a quiver representation (each numbered by its
+  entries read as one base-q number), the one subspace of a LinRel1
+  object, or the two subspaces of a PairRel object (i1 * S + i2 with S
+  the number of subspaces).
+* G acts factor by factor: each arrow matrix moves on its own, and so
+  does each subspace.  So every generator of G (a small generating set,
+  see _gl_generators) is precomputed once per cell as one permutation
+  table per factor it moves; table[i] is the number of the image of
+  factor value i.
+* The walk then runs over integers only: it scans the numbers in order
+  and walks the orbit of each one not visited yet breadth-first, splitting
+  a number into its factors, looking each factor up in its table and
+  recombining.  Visited numbers are marked in a bitmap.
+* The first number of each orbit is its class representative; only then
+  is it unranked into an object, so classes come out in order of first
+  appearance.
 
 The enumeration is deterministic: matrix entries run row-major in the
 field's canonical element order, and subspace bases run over reduced
@@ -23,14 +38,16 @@ echelon forms ordered by (rank, pivot set, free entries).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import multiprocessing
 import warnings
-from collections import deque
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from math import prod
+from typing import Optional
 
 from .canon import IndecompTag, classify_indecomposable
 from .errors import (
@@ -42,12 +59,14 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import FieldSpec
-from .matrices import Matrix, direct_sum, inverse, rref
+# rref is unused here but stays bound: perfbench's tracer test checks that
+# wrapping matrices.rref also reaches this copied binding.
+from .matrices import Matrix, direct_sum, inverse, reduce_rows, rref  # noqa: F401
 from .quivers import QUIVERS, QuiverRep, is_indecomposable
 from .relations import PairRelObj, RelObj
 from . import functors
 
-CensusObject = Union[QuiverRep, RelObj, PairRelObj]
+CensusObject = QuiverRep | RelObj | PairRelObj
 
 ENUMERATION_GUARD = 10**8
 COMPONENT_CAP = 4
@@ -184,21 +203,30 @@ def _echelon_free_positions(n: int, pivots) -> list:
     return out
 
 
-def _echelon_bases(field: FieldSpec, n: int, shape) -> "itertools.chain":
+def _echelon_rows(n: int, pivots, free, values) -> list:
+    """The rows of the reduced echelon form with the given pivot columns
+    whose free (row, col) slots hold the given values."""
+    rows = [[0] * n for _ in pivots]
+    for i, p in enumerate(pivots):
+        rows[i][p] = 1
+    for (i, j), v in zip(free, values):
+        rows[i][j] = v
+    return rows
+
+
+def _basis(field: FieldSpec, n: int, rows) -> Matrix:
+    """The subspace basis (n rows, one column per echelon row) whose
+    columns are the given echelon rows."""
+    return Matrix(field, n, len(rows), [row[j] for j in range(n) for row in rows])
+
+
+def _echelon_bases(field: FieldSpec, n: int, shape):
     """All subspace basis matrices (n rows, rank columns) with the given
     reduced echelon shape; each subspace of k^n appears exactly once."""
-    r, pivots = shape
+    _, pivots = shape
     free = _echelon_free_positions(n, pivots)
-    elements = field.elements()
-    for values in itertools.product(elements, repeat=len(free)):
-        rows = [[field.zero()] * n for _ in range(r)]
-        for i, p in enumerate(pivots):
-            rows[i][p] = field.one()
-        for (i, j), v in zip(free, values):
-            rows[i][j] = v
-        # transpose: columns of the object basis are the echelon rows
-        entries = [rows[i][j] for j in range(n) for i in range(r)]
-        yield Matrix(field, n, r, entries)
+    for values in itertools.product(field.elements(), repeat=len(free)):
+        yield _basis(field, n, _echelon_rows(n, pivots, free, values))
 
 
 def _base_q(digits, q: int) -> int:
@@ -209,11 +237,20 @@ def _base_q(digits, q: int) -> int:
     return number
 
 
+def _digits_base_q(number: int, q: int, length: int) -> list:
+    """The base-q digits of number, most significant first, padded to length."""
+    digits = [0] * length
+    for k in range(length - 1, -1, -1):
+        number, digits[k] = divmod(number, q)
+    return digits
+
+
+def _typecode(count: int) -> str:
+    """The smallest unsigned array typecode that holds range(count)."""
+    return next(code for code in "BHIQ" if count <= 256 ** array(code).itemsize)
+
+
 # -- the group action -------------------------------------------------------------
-#
-# Each census space below lists its objects ("states") in canonical order,
-# gives every state its index in that order, and turns each generator of G
-# into a move: a function from a state to its image and the image's index.
 
 
 def _primitive_root(p: int) -> int:
@@ -251,9 +288,58 @@ def _gl_generators(field: FieldSpec, d: int) -> list:
     return [Matrix.from_rows(field, g) for g in gens]
 
 
-class _QuiverSpace:
-    """Representations as tuples of arrow matrices, indexed by their entries
-    read as one base-q number; g acts by M_a -> g_t M_a g_s^-1."""
+class _MixedRadix:
+    """The objects of a census cell as the integers range(total).
+
+    An object is a tuple of factors, factor k running over range(sizes[k]),
+    and its number is the mixed-radix integer with those digits, the first
+    factor most significant.  G acts factor by factor, so each generator of
+    G is a move: one (weight, size, table) triple per factor it moves, where
+    table[i] is the image of factor value i.  Subclasses fill in the tables
+    and build an object from its number."""
+
+    def __init__(self, sizes, moves):
+        self.sizes = list(sizes)
+        self.weights = [prod(self.sizes[k + 1 :]) for k in range(len(self.sizes))]
+        self.total = prod(self.sizes)
+        self.moves = [
+            [(self.weights[k], self.sizes[k], table) for k, table in move]
+            for move in moves
+        ]
+
+    def digits(self, index: int) -> list:
+        """The factor values of object index."""
+        return [index // w % s for w, s in zip(self.weights, self.sizes)]
+
+    def image(self, move, index: int) -> int:
+        """The number of the image of object index under a move."""
+        image = index
+        for weight, size, table in move:
+            digit = index // weight % size
+            image += (table[digit] - digit) * weight
+        return image
+
+
+def _matrix_table(field: FieldSpec, t: int, s: int, left, right) -> array:
+    """The permutation M -> left M right of the t x s matrices, each numbered
+    by its entries read row-major as one base-q number; a side that is None
+    is not multiplied."""
+    q = field.p
+    table = array(_typecode(q ** (t * s)))
+    for values in itertools.product(field.elements(), repeat=t * s):
+        m = Matrix(field, t, s, values)
+        if left is not None:
+            m = left @ m
+        if right is not None:
+            m = m @ right
+        table.append(_base_q(m.entries, q))
+    return table
+
+
+class _QuiverSpace(_MixedRadix):
+    """Representations numbered by their arrow matrices' entries read as one
+    base-q number, so each arrow is a factor; g in GL(d_v, q) acts by
+    M_a -> g_t M_a g_s^-1, moving only the arrows at v."""
 
     def __init__(self, field: FieldSpec, quiver, dims):
         self.field, self.quiver, self.dims = field, quiver, dims
@@ -261,79 +347,97 @@ class _QuiverSpace:
             (dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
             for a in quiver.arrows
         ]
-        self.moves = [
-            functools.partial(self._move, v, g, inverse(g))
-            for v, d in zip(quiver.vertices, dims)
-            for g in _gl_generators(field, d)
+        moves = []
+        for v, d in zip(quiver.vertices, dims):
+            for g in _gl_generators(field, d):
+                g_inv, move = inverse(g), []
+                for k, (a, (t, s)) in enumerate(zip(quiver.arrows, self.shapes)):
+                    if v in (a.target, a.source) and t * s:
+                        left = g if a.target == v else None
+                        right = g_inv if a.source == v else None
+                        move.append((k, _matrix_table(field, t, s, left, right)))
+                moves.append(move)
+        super().__init__([field.p ** (t * s) for t, s in self.shapes], moves)
+
+    def build(self, index: int) -> QuiverRep:
+        mats = [
+            Matrix(self.field, t, s, _digits_base_q(digit, self.field.p, t * s))
+            for (t, s), digit in zip(self.shapes, self.digits(index))
         ]
-
-    def states(self):
-        cells = sum(t * s for t, s in self.shapes)
-        for values in itertools.product(self.field.elements(), repeat=cells):
-            mats, pos = [], 0
-            for t, s in self.shapes:
-                mats.append(Matrix(self.field, t, s, values[pos : pos + t * s]))
-                pos += t * s
-            yield tuple(mats)
-
-    def _move(self, v, g, g_inv, mats) -> tuple:
-        image = []
-        for a, m in zip(self.quiver.arrows, mats):
-            if a.target == v:
-                m = g @ m
-            if a.source == v:
-                m = m @ g_inv
-            image.append(m)
-        entries = itertools.chain.from_iterable(m.entries for m in image)
-        return tuple(image), _base_q(entries, self.field.p)
-
-    def build(self, mats) -> QuiverRep:
         return QuiverRep(self.field, self.quiver, self.dims, mats)
 
 
-class _RelationSpace:
+def _row_action(g: Matrix) -> tuple:
+    """rows -> rows g^T in sparse form: coordinate j of an image row is
+    row[gather[j]], except at the (j, terms) of fixes, where it is the sum
+    of c * row[k] over the (k, c) in terms."""
+    gather, fixes = [], []
+    for j in range(g.rows):
+        terms = [(k, c) for k, c in enumerate(g.row(j)) if c]
+        gather.append(terms[0][0])
+        if terms[1:] or terms[0][1] != 1:
+            fixes.append((j, terms))
+    return gather, fixes
+
+
+class _RelationSpace(_MixedRadix):
     """Tuples of subspaces of k^n (one for LinRel1, two for PairRel), each
-    held as the reduced row echelon form whose rows span it (the transpose
-    of its canonical basis) and indexed by its position in _echelon_bases
-    order; the index of a pair is index_1 * S + index_2 with S the number of
-    subspaces.  Each group element acts on k^n as an invertible matrix G,
-    by basis -> column_echelon(G basis), that is rows -> rref(rows G^T)."""
+    subspace a factor numbered by its position in _echelon_bases order.
+    Each generator acts on k^n as an invertible matrix G, by
+    basis -> column_echelon(G basis), that is, on the echelon rows spanning
+    the subspace, rows -> rref(rows G^T); its table serves every factor."""
 
     def __init__(self, field: FieldSpec, n: int, group, arity: int, make):
-        self.field, self.n, self.arity, self.make = field, n, arity, make
+        self.field, self.n, self.make = field, n, make
         q = field.p
-        self.shapes = {}  # pivots -> (index of the first subspace, free slots)
+        self.shapes = []  # (number of the first subspace, pivots, free slots)
         offset = 0
         for _, pivots in _echelon_shapes(n):
             free = _echelon_free_positions(n, pivots)
-            self.shapes[pivots] = (offset, [i * n + j for i, j in free])
+            self.shapes.append((offset, pivots, free))
             offset += q ** len(free)
-        self.count = offset
-        self.moves = [functools.partial(self._move, g.transpose()) for g in group]
+        self.offsets = [start for start, _, _ in self.shapes]
+        tables = self._tables(q, offset, group)
+        super().__init__(
+            [offset] * arity, [[(k, table) for k in range(arity)] for table in tables]
+        )
 
-    def _subspaces(self):
-        for shape in _echelon_shapes(self.n):
-            for basis in _echelon_bases(self.field, self.n, shape):
-                yield basis.transpose()
+    def _tables(self, q: int, count: int, group) -> list:
+        """One table per G in group: the number of G U for every subspace U.
 
-    def states(self):
-        if self.arity == 1:
-            return ((rows,) for rows in self._subspaces())
-        return itertools.product(list(self._subspaces()), repeat=self.arity)
+        Each subspace's echelon rows are generated once, as lists of
+        residues, mapped by every G and reduced by reduce_rows."""
+        actions = [_row_action(g) for g in group]
+        shape_of = {pivots: (start, free) for start, pivots, free in self.shapes}
+        tables = [array(_typecode(count)) for _ in group]
+        for _, pivots, free in self.shapes:
+            for values in itertools.product(range(q), repeat=len(free)):
+                rows = _echelon_rows(self.n, pivots, free, values)
+                for table, (gather, fixes) in zip(tables, actions):
+                    image = []
+                    for row in rows:
+                        mapped = [row[k] for k in gather]
+                        for j, terms in fixes:
+                            x = 0
+                            for k, c in terms:
+                                x += c * row[k]
+                            mapped[j] = x % q
+                        image.append(mapped)
+                    start, slots = shape_of[reduce_rows(image, q)]
+                    number = 0
+                    for i, j in slots:
+                        number = number * q + image[i][j]
+                    table.append(start + number)
+        return tables
 
-    def _move(self, g_t, state) -> tuple:
-        image = []
-        index = 0
-        for rows in state:
-            reduced, _, pivots = rref(rows @ g_t)
-            image.append(reduced)
-            start, free = self.shapes[pivots]
-            index = index * self.count + start
-            index += _base_q((reduced.entries[k] for k in free), self.field.p)
-        return tuple(image), index
-
-    def build(self, state):
-        return self.make(*(rows.transpose() for rows in state))
+    def build(self, index: int):
+        q, bases = self.field.p, []
+        for digit in self.digits(index):
+            start, pivots, free = self.shapes[bisect.bisect_right(self.offsets, digit) - 1]
+            values = _digits_base_q(digit - start, q, len(free))
+            rows = _echelon_rows(self.n, pivots, free, values)
+            bases.append(_basis(self.field, self.n, rows))
+        return self.make(*bases)
 
 
 def _census_space(category: str, field: FieldSpec, dims):
@@ -358,26 +462,25 @@ def _census_space(category: str, field: FieldSpec, dims):
     )
 
 
-def _orbits(space, total: int):
-    """Yield (representative state, orbit size) for every orbit, in order of
-    the representatives' first appearance in the canonical enumeration."""
+def _orbits(space):
+    """Yield (number of the representative, orbit size) for every orbit, in
+    order of the representatives' numbers."""
+    total = space.total
     visited = bytearray((total + 7) >> 3)
-    for start, first in enumerate(space.states()):
+    code = _typecode(total)
+    for start in range(total):
         if visited[start >> 3] >> (start & 7) & 1:
             continue
         visited[start >> 3] |= 1 << (start & 7)
-        size = 1
-        frontier = deque([first])
-        while frontier:
-            state = frontier.popleft()
+        orbit = array(code, [start])
+        for index in orbit:  # breadth-first: the loop reaches appended images
             for move in space.moves:
-                image, index = move(state)
-                byte, bit = index >> 3, 1 << (index & 7)
+                image = space.image(move, index)
+                byte, bit = image >> 3, 1 << (image & 7)
                 if not visited[byte] & bit:
                     visited[byte] |= bit
-                    size += 1
-                    frontier.append(image)
-        yield first, size
+                    orbit.append(image)
+        yield start, len(orbit)
 
 
 # -- verdicts ---------------------------------------------------------------------
@@ -429,15 +532,16 @@ def census(
 ) -> CensusReport:
     """Enumerate every object at the given dimension vector, split the
     objects into isomorphism classes by walking the orbits of
-    prod_v GL(d_v, q), and report each class's first-seen representative,
-    orbit size, indecomposability and canonical-tag match (tag None on an
-    indecomposable class means UNMATCHED; decomposable classes carry no
-    tag).  With workers > 1 the representatives are decided and classified
-    in that many processes; the report does not depend on the count."""
+    prod_v GL(d_v, q) through per-factor permutation tables, and report
+    each class's first-seen representative, orbit size, indecomposability
+    and canonical-tag match (tag None on an indecomposable class means
+    UNMATCHED; decomposable classes carry no tag).  With workers > 1 the
+    representatives are decided and classified in that many processes; the
+    report does not depend on the count."""
     dims = _check_inputs(category, field, dims)
     total = enumeration_size(category, field, dims)
     space = _census_space(category, field, dims)
-    orbits = [(space.build(state), size) for state, size in _orbits(space, total)]
+    orbits = [(space.build(index), size) for index, size in _orbits(space)]
 
     reps = [obj for obj, _ in orbits]
     decide = functools.partial(_verdicts, seed=seed)

@@ -292,16 +292,24 @@ def _rref_gf2(m: Matrix) -> RrefResult:
 
 
 def _rref_prime_small(m: Matrix) -> RrefResult:
-    p = m.field.p
     cols = m.cols
     work = [list(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+    pivots = reduce_rows(work, m.field.p)
+    reduced = Matrix(m.field, m.rows, m.cols, [x for row in work for x in row])
+    return RrefResult(reduced, len(pivots), pivots)
+
+
+def reduce_rows(work: list, p: int) -> tuple:
+    """Bring a list of equally long rows of residues mod the prime p to
+    reduced row echelon form in place, and return its pivot columns."""
+    rows, cols = len(work), len(work[0]) if work else 0
     r = 0
     pivots = []
     for c in range(cols):
-        if r == m.rows:
+        if r == rows:
             break
         sel = -1
-        for i in range(r, m.rows):
+        for i in range(r, rows):
             if work[i][c]:
                 sel = i
                 break
@@ -313,7 +321,7 @@ def _rref_prime_small(m: Matrix) -> RrefResult:
         if piv != 1:
             inv = pow(piv, p - 2, p)
             work[r] = row_r = [(inv * x) % p for x in row_r]
-        for i in range(m.rows):
+        for i in range(rows):
             if i != r:
                 factor = work[i][c]
                 if factor:
@@ -323,8 +331,7 @@ def _rref_prime_small(m: Matrix) -> RrefResult:
                     ]
         pivots.append(c)
         r += 1
-    reduced = Matrix(m.field, m.rows, m.cols, [x for row in work for x in row])
-    return RrefResult(reduced, r, tuple(pivots))
+    return tuple(pivots)
 
 
 def _rref_prime(m: Matrix) -> RrefResult:

@@ -464,11 +464,11 @@ def find_isomorphism(v: QuiverRep, w: QuiverRep, seed: int = 0) -> Optional[RepM
         return None
     unmatched = _pieces(w, seed)
     matched = []  # (inclusion into v, inclusion into w, piece isomorphism)
-    for u, inc_u in _pieces(v, seed):
-        for i, (x, inc_x) in enumerate(unmatched):
+    for u, path_u in _pieces(v, seed):
+        for i, (x, path_x) in enumerate(unmatched):
             f = _iso_to_indecomposable(u, x)
             if f is not None:
-                matched.append((inc_u, inc_x, f))
+                matched.append((_inclusion(v, path_u), _inclusion(w, path_x), f))
                 del unmatched[i]
                 break
         else:
@@ -849,14 +849,13 @@ def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
     return IndecompVerdict(True, bool(payload))
 
 
-def _pieces(v: QuiverRep, seed: int) -> list[tuple[QuiverRep, list[Matrix]]]:
+def _pieces(v: QuiverRep, seed: int) -> list[tuple[QuiverRep, list]]:
     """Certified indecomposable pieces of v in split order, each with its
-    inclusion into v: one full-column-rank matrix per vertex, the product
-    of the splitting bases along the piece's split path."""
-    out: list[tuple[QuiverRep, list[Matrix]]] = []
+    split path: the splitting bases (one matrix per vertex) from v down to
+    the piece.  The product of the path is the piece's inclusion into v."""
+    out: list[tuple[QuiverRep, list]] = []
 
-    def recurse(rep: QuiverRep, inclusion: Optional[list[Matrix]]) -> None:
-        # inclusion is None for v itself
+    def recurse(rep: QuiverRep, path: list) -> None:
         if rep.total_dim == 0:
             return
         kind, payload = _find_splitting(rep, seed)
@@ -865,18 +864,24 @@ def _pieces(v: QuiverRep, seed: int) -> list[tuple[QuiverRep, list[Matrix]]]:
                 raise IndecomposabilityUndecided(
                     f"cannot certify indecomposability at dims {rep.dims} over {rep.field.name}"
                 )
-            if inclusion is None:
-                inclusion = [Matrix.identity(rep.field, d) for d in rep.dims]
-            out.append((rep, inclusion))
+            out.append((rep, path))
             return
         for bases in payload:
-            piece = _restrict_to_bases(rep, bases)
-            if inclusion is not None:
-                bases = [inc @ b for inc, b in zip(inclusion, bases)]
-            recurse(piece, bases)
+            recurse(_restrict_to_bases(rep, bases), path + [bases])
 
-    recurse(v, None)
+    recurse(v, [])
     return out
+
+
+def _inclusion(v: QuiverRep, path: list) -> list[Matrix]:
+    """The inclusion into v of the piece at the end of a split path, one
+    full-column-rank matrix per vertex."""
+    if not path:
+        return [Matrix.identity(v.field, d) for d in v.dims]
+    inclusion = path[0]
+    for bases in path[1:]:
+        inclusion = [inc @ b for inc, b in zip(inclusion, bases)]
+    return inclusion
 
 
 def decompose(v: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:

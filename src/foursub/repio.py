@@ -26,15 +26,13 @@ Parsing then printing an object reproduces the canonical form exactly.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import FoursubError, ParseError
 from .fields import FieldSpec
 from .matrices import Matrix
 from .quivers import QUIVERS, QuiverRep
 from .relations import PairRelObj, RelObj
 
-IOObject = Union[QuiverRep, RelObj, PairRelObj]
+IOObject = QuiverRep | RelObj | PairRelObj
 
 
 class _Lines:

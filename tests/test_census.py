@@ -1,12 +1,19 @@
 """Census tests: frozen class counts from independent enumeration, orbit
 accounting, agreement of the orbit walk with pairwise isomorphism tests,
-the generating sets of GL(d, q), worker equivalence, and guards."""
+the generating sets of GL(d, q), the permutation tables against the
+Matrix-level action, worker equivalence, guards, and the release of an
+earlier import."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foursub
 from foursub.canon import format_tag
 from foursub.census import (
     COMPONENT_CAP,
@@ -20,7 +27,7 @@ from foursub.census import (
 )
 from foursub.errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from foursub.fields import GF, QQ
-from foursub.matrices import Matrix
+from foursub.matrices import Matrix, column_echelon, direct_sum, inverse
 from foursub.quivers import QUIVERS, QuiverRep, is_isomorphic
 from foursub.relations import (
     PairRelObj,
@@ -299,18 +306,69 @@ def test_generators_reach_all_of_gl(d, q):
     assert closure_size(gens, d, q) == gl_order(d, q)
 
 
+def group_generators(category, field, dims):
+    """The generators of G in the order the census space lists its moves:
+    (vertex, g) for a quiver, the matrix acting on k^n for a relation."""
+    if category in QUIVERS:
+        quiver = QUIVERS[category]
+        return [(v, g) for v, d in zip(quiver.vertices, dims) for g in _gl_generators(field, d)]
+    if category == "LinRel1":
+        return [direct_sum(g, g) for g in _gl_generators(field, dims[0])]
+    one1, one2 = Matrix.identity(field, dims[0]), Matrix.identity(field, dims[1])
+    return [direct_sum(g, one2) for g in _gl_generators(field, dims[0])] + [
+        direct_sum(one1, g) for g in _gl_generators(field, dims[1])
+    ]
+
+
+def act(generator, obj):
+    """The image of a census object under a generator of G, at Matrix level:
+    M_a -> g_t M_a g_s^-1 on a quiver, basis -> column_echelon(G basis) on
+    each relation."""
+    field = obj.field
+    if isinstance(obj, QuiverRep):
+        v, g = generator
+        mats = []
+        for a, m in zip(obj.quiver.arrows, obj.mats):
+            if a.target == v:
+                m = g @ m
+            if a.source == v:
+                m = m @ inverse(g)
+            mats.append(m)
+        return QuiverRep(field, obj.quiver, obj.dims, mats)
+    if isinstance(obj, RelObj):
+        return RelObj(field, obj.dim1, obj.dim2, column_echelon(generator @ obj.basis))
+    return PairRelObj(
+        field,
+        obj.dim1,
+        obj.dim2,
+        column_echelon(generator @ obj.basis1),
+        column_echelon(generator @ obj.basis2),
+    )
+
+
 @pytest.mark.parametrize(
-    "category,dims",
-    [("K", (2, 1)), ("C", (1, 2)), ("LinRel1", (2,)), ("PairRel", (1, 2))],
+    "category,dims,p",
+    [
+        ("K", (2, 1), 3),
+        ("C", (1, 2), 3),
+        ("LinRel1", (2,), 3),
+        ("PairRel", (1, 2), 3),
+        ("PairRel", (2, 1), 2),
+        ("K", (1, 2), 5),
+    ],
 )
-def test_move_indices_follow_the_enumeration(category, dims):
-    space = _census_space(category, GF(3), dims)
-    position = {state: i for i, state in enumerate(space.states())}
-    assert len(position) == enumeration_size(category, GF(3), dims)
-    for state in position:
-        for move in space.moves:
-            image, index = move(state)
-            assert position[image] == index
+def test_tables_follow_the_matrix_action(category, dims, p):
+    """build numbers the objects in enumeration order, and every table entry
+    is the number of the image the Matrix-level action gives."""
+    field = GF(p)
+    space = _census_space(category, field, dims)
+    objects = [space.build(i) for i in range(space.total)]
+    assert objects == list(enumerate_objects(category, field, dims))
+    generators = group_generators(category, field, dims)
+    assert len(generators) == len(space.moves)
+    for generator, move in zip(generators, space.moves):
+        for i, obj in enumerate(objects):
+            assert objects[space.image(move, i)] == act(generator, obj)
 
 
 def enumerate_objects(category, field, dims):
@@ -363,3 +421,39 @@ def test_census_partition_matches_pairwise_isomorphism(category, dims, p):
     assert [(c.representative, c.orbit_size) for c in report.classes] == [
         tuple(entry) for entry in classes
     ]
+
+
+# -- re-import -----------------------------------------------------------------------
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def purge():
+    for name in [n for n in sys.modules if n == "foursub" or n.startswith("foursub.")]:
+        del sys.modules[name]
+
+importlib.import_module("foursub.cli")
+old = weakref.ref(sys.modules["foursub.matrices"].Matrix)
+for _ in range(3):
+    purge()
+    importlib.import_module("foursub.cli")
+gc.collect()
+print("released" if old() is None else "pinned")
+"""
+
+
+def test_reimport_releases_the_earlier_package():
+    """A fresh import of foursub leaves nothing of the earlier one alive
+    (module-level typing.Union aliases used to pin it in typing's cache).
+    Runs in a subprocess, so the suite's own modules stay as they are."""
+    src = str(Path(foursub.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert result.stdout.strip() == "released"
