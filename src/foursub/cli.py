@@ -9,6 +9,7 @@ All output is byte-deterministic for fixed inputs, flags and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -262,7 +263,9 @@ def _add_functor(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main runs on every call."""
     parser = argparse.ArgumentParser(
         prog="foursub",
         description="Exact tools for quadruples of subspaces and linear relations.",

@@ -300,12 +300,6 @@ class Poly:
     def __mod__(self, divisor: "Poly") -> "Poly":
         return self.divmod(divisor)[1]
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        return Poly.make(
-            f, [f.mul(f.convert(k), c) for k, c in enumerate(self.coeffs)][1:]
-        )
-
     def eval(self, x):
         """Evaluate at a raw field value (Horner)."""
         f = self.field
@@ -316,16 +310,6 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    a._check(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
 
 
 def poly_power(p: Poly, s: int) -> Poly:
@@ -542,8 +526,3 @@ def coprime_split(mu: Poly) -> tuple[Poly, Poly] | None:
     for q, m in factors[1:]:
         b = b * poly_power(q, m)
     return a, b
-
-
-def is_primary(mu: Poly) -> bool:
-    """Whether a monic polynomial is a power of one irreducible."""
-    return len(poly_factor_list(mu)) == 1

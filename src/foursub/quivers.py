@@ -17,10 +17,11 @@ matrix has ``dims[t]`` rows and ``dims[s]`` columns.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -47,9 +48,7 @@ from .matrices import (
     solve,
 )
 
-_ENUM_BOUND = 1 << 20
 _FITTING_TRIES = 64
-_ALGEBRA_DIM_CAP = 48
 _GENERATOR_TRIES = 48
 
 
@@ -81,10 +80,6 @@ class Quiver:
             if a.name == name:
                 return a
         raise KeyError(name)
-
-    @property
-    def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
 
 
 QUIVERS: dict[str, Quiver] = {
@@ -537,17 +532,10 @@ def _split_by_endo_kernels(rep: QuiverRep, phi: RepMorphism, a_poly, b_poly):
     return bases_a, bases_b
 
 
-def _split_by_idempotent(e: RepMorphism):
-    """Split rep = im(e) + ker(e) for an idempotent endomorphism e; returns
-    the per-vertex bases of the two summands."""
-    return [column_span_basis(c) for c in e.comps], [kernel_basis(c) for c in e.comps]
-
-
-def _endo_candidates(endos: list[RepMorphism], rep: QuiverRep, seed: int):
-    """Up to the Fitting cap: basis endomorphisms first, then seeded
-    random combinations."""
+def _random_endos(endos: list[RepMorphism], rep: QuiverRep, seed: int):
+    """Seeded random combinations of the basis endomorphisms, as many as
+    the Fitting cap leaves after the basis itself."""
     f = rep.field
-    yield from endos
     rng = random.Random(seed)
     for _ in range(max(0, _FITTING_TRIES - len(endos))):
         if f.is_prime_field:
@@ -562,6 +550,16 @@ def _endo_candidates(endos: list[RepMorphism], rep: QuiverRep, seed: int):
             acc = term if acc is None else acc + term
         if acc is not None:
             yield acc
+
+
+def _fitting_split(rep: QuiverRep, candidates):
+    """('split', (bases_a, bases_b)) from the first candidate endomorphism
+    whose minimal polynomial is not primary (Fitting's lemma), or None."""
+    for phi in candidates:
+        split = coprime_split(min_poly(_total_matrix(phi)))
+        if split is not None:
+            return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
+    return None
 
 
 def _total_matrix(phi: RepMorphism) -> Matrix:
@@ -602,136 +600,101 @@ def _product_coords(endos: list[RepMorphism], basis_cols: Matrix) -> Matrix:
     return _coords_in_basis(basis_cols, prod_mat)
 
 
-def _idempotent_search(rep: QuiverRep, endos: list[RepMorphism]):
-    """Exhaustively solve e*e = e over End(rep) by enumerating coefficient
-    vectors; returns a nontrivial idempotent or None.  Caller guarantees
-    |field|^dim End is within the enumeration bound."""
-    f = rep.field
-    d = len(endos)
-    basis_cols = _endo_vec_basis(endos)
-    lam = _product_coords(endos, basis_cols)  # d x d^2: lam[k, i*d+j]
-    ident = RepMorphism.identity(rep)
-    id_coords = tuple(
-        _coords_in_basis(
-            basis_cols, Matrix(f, basis_cols.rows, 1, _vec_morphism(ident))
-        ).col(0)
-    )
-    zero_coords = tuple([f.zero()] * d)
-    elems = list(f.elements())
-    for c in itertools.product(elems, repeat=d):
-        if c == zero_coords or c == id_coords:
-            continue
-        ok = True
-        for k in range(d):
-            acc = f.zero()
-            for i in range(d):
-                ci = c[i]
-                if not ci:
-                    continue
-                for j in range(d):
-                    cj = c[j]
-                    if not cj:
-                        continue
-                    lam_k = lam.entry(k, i * d + j)
-                    if lam_k:
-                        acc = f.add(acc, f.mul(f.mul(ci, cj), lam_k))
-            if acc != c[k]:
-                ok = False
-                break
-        if ok:
-            e = None
-            for h, ci in zip(endos, c):
-                if not ci:
-                    continue
-                term = h.scale(ci)
-                e = term if e is None else e + term
-            return e
-    return None
+def _power_mod(mats: np.ndarray, e: int, mod: int) -> np.ndarray:
+    """A stack of integer matrices raised to the power e >= 1, mod mod."""
+    out = mats
+    for bit in bin(e)[3:]:
+        out = out @ out % mod
+        if bit == "1":
+            out = out @ mats % mod
+    return out
 
 
-def _mat_power(m: Matrix, k: int) -> Matrix:
-    acc = Matrix.identity(m.field, m.rows)
-    base = m
-    while k:
-        if k & 1:
-            acc = acc @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return acc
+def _radical(f: FieldSpec, d: int, lam: Matrix) -> Matrix:
+    """rad E for the algebra E with basis b_0..b_{d-1} and structure
+    constants b_i b_j = sum_k lam[k, i*d+j] b_k; columns are coordinates.
+
+    Cohen-Ivanyos-Wales, "Finding the radical of an algebra of linear
+    transformations" (JPAA 1997), on the left regular representation
+    x -> L_x: I_{-1} = E and, for p^i <= d,
+    I_i = {x in I_{i-1} : g_i(x b_k) = 0 for every k}, where
+    g_i(y) = Tr(L^_y^(p^i)) / p^i mod p for the integer lift L^_y of L_y.
+    The last I_i is rad E.  In characteristic 0 only g_0 = Tr runs, and
+    I_0 is the kernel of the trace form.
+    """
+    p = f.p
+    # Tr L_{b_m} = sum_k lam[k, m*d+k]; form[j, k] = Tr L_{b_j b_k}
+    trace = [_sum_scalars(f, (lam.entry(k, m * d + k) for k in range(d))) for m in range(d)]
+    form = Matrix(f, d, d, (Matrix(f, 1, d, trace) @ lam).entries)
+    rad = kernel_basis(form.transpose())
+    if p is None:
+        return rad
+    # int64 stays exact: levels need p <= d, so entries stay below d^2
+    # and every matrix product below d^5
+    lam3 = np.array(lam.entries, dtype=np.int64).reshape(d, d, d)  # [m, i, k]
+    level = 1
+    while rad.cols and p**level <= d:
+        mod = p ** (level + 1)
+        xs = np.array(rad.entries, dtype=np.int64).reshape(d, rad.cols)
+        g = []  # g[j][k] = g_level(x_j b_k)
+        for x in xs.T:
+            prods = np.einsum("mik,i->km", lam3, x) % p  # row k: x b_k
+            lifts = np.einsum("km,nmc->knc", prods, lam3) % p  # L_{x b_k}
+            traces = np.trace(_power_mod(lifts, p**level, mod), axis1=1, axis2=2)
+            g.append(traces % mod // p**level)
+        gmat = Matrix(f, d, rad.cols, [int(row[k]) for k in range(d) for row in g])
+        rad = rad @ kernel_basis(gmat)
+        level += 1
+    return rad
+
+
+def _is_nilpotent_ideal(f: FieldSpec, d: int, lam: Matrix, rad: Matrix) -> bool:
+    """Do the columns of rad span a two-sided ideal N of E with N^d = 0?
+
+    R_x, the matrix of right multiplication by x, has column a = b_a x."""
+    if not rad.cols:
+        return True
+    by_basis = [lam.select_cols(range(k, d * d, d)) for k in range(d)]
+    stacked = Matrix(f, d * d, d, lam.entries) @ rad
+    by_rad = [Matrix(f, d, d, stacked.col(j)) for j in range(rad.cols)]
+    # N E is spanned by the R_{b_k} n, E N by the columns of the R_n
+    if rref(hstack(rad, *by_rad, *(m @ rad for m in by_basis))).rank != rad.cols:
+        return False
+    power = rad  # N^s, and N^(s+1) is spanned by the R_n applied to it
+    for _ in range(d):
+        if not power.cols:
+            break
+        power = column_span_basis(hstack(*(m @ power for m in by_rad)))
+    return not power.cols
 
 
 def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
-    """Certified analysis of the endomorphism algebra E.
+    """Certified analysis of the endomorphism algebra E = End(rep).
 
-    Computes the radical exactly (kernel of the trace form of the left
-    regular representation in characteristic zero; kernel of the iterated
-    Frobenius map for commutative E over a prime field) and studies the
-    semisimple quotient by minimal polynomials of candidate elements: a
-    factorization into distinct irreducibles lifts to a Fitting splitting,
-    and a full-degree irreducible minimal polynomial of a commutative
-    quotient certifies that E is local.
+    Computes rad E exactly with _radical, on every field, and raises
+    ShapeError unless it is a nilpotent two-sided ideal: every verdict
+    below rests on that.  The semisimple quotient E/rad is then studied by
+    minimal polynomials of candidate elements: a factorization into
+    distinct irreducibles lifts to a Fitting splitting, and a full-degree
+    irreducible minimal polynomial of a commutative quotient certifies that
+    E/rad is a field, so E is local.
 
-    Returns ('split', (bases_a, bases_b)), ('indecomposable', True), or None when
-    inconclusive (the quotient may be a noncommutative division algebra, or
-    no primitive element was found within the try budget)."""
+    Returns ('split', (bases_a, bases_b)), ('indecomposable', True), or None
+    when no candidate decides.  Over F_p a noncommutative quotient is a
+    product of matrix rings and some element splits it; over Q it may be a
+    noncommutative division algebra.
+    """
     from .fields import poly_factor_list
 
     f = rep.field
     d = len(endos)
-    if d > _ALGEBRA_DIM_CAP:
-        return None
     basis_cols = _endo_vec_basis(endos)
     lam = _product_coords(endos, basis_cols)  # lam[k, i*d+j]
-
-    commutative = all(
-        lam.entry(k, i * d + j) == lam.entry(k, j * d + i)
-        for i in range(d)
-        for j in range(i + 1, d)
-        for k in range(d)
-    )
-
-    if f.p is None:
-        # char 0: rad E = radical of the trace form of the regular rep
-        tvec = [
-            _sum_scalars(f, (lam.entry(j, k * d + j) for j in range(d)))
-            for k in range(d)
-        ]
-        bil_entries = []
-        for i in range(d):
-            for j in range(d):
-                bil_entries.append(
-                    _sum_scalars(
-                        f,
-                        (
-                            f.mul(lam.entry(k, i * d + j), tvec[k])
-                            for k in range(d)
-                            if tvec[k]
-                        ),
-                    )
-                )
-        rad = kernel_basis(Matrix(f, d, d, bil_entries))
-    elif commutative:
-        # prime field, commutative E: rad = nilradical = ker(Frobenius^m)
-        frob_cols = []
-        for h in endos:
-            powered = [_mat_power(c, f.p) for c in h.comps]
-            vec = [x for c in powered for x in c.entries]
-            coords = _coords_in_basis(basis_cols, Matrix(f, basis_cols.rows, 1, vec))
-            frob_cols.append([coords.entry(k, 0) for k in range(d)])
-        phi_mat = Matrix(f, d, d, [frob_cols[j][k] for k in range(d) for j in range(d)])
-        power = phi_mat
-        q = f.p
-        while q < d:
-            power = phi_mat @ power
-            q *= f.p
-        rad = kernel_basis(power)
-    else:
-        return None
+    rad = _radical(f, d, lam)
+    if not _is_nilpotent_ideal(f, d, lam, rad):
+        raise ShapeError("computed radical is not a nilpotent two-sided ideal")
 
     r = rad.cols
-    if r >= d:
-        return None  # defensive: the identity is never in the radical
     m = d - r
     ext = hstack(rad, Matrix.identity(f, d))
     comp_idx = [p - r for p in rref(ext).pivot_cols if p >= r]
@@ -801,11 +764,9 @@ def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
         mp = min_poly(left_mult(w))
         factors = poly_factor_list(mp)
         if len(factors) >= 2:
-            phi = lift(w)
-            mu = min_poly(_total_matrix(phi))
-            split = coprime_split(mu)
-            if split is not None:  # guaranteed: mp divides mu
-                return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
+            split = _fitting_split(rep, [lift(w)])
+            if split is not None:  # guaranteed: mp divides the lift's min poly
+                return split
         elif quotient_commutative and mp.degree == m and factors[0][1] == 1:
             # E/rad is a field, so E is local
             return ("indecomposable", True)
@@ -815,32 +776,29 @@ def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
 def _find_splitting(rep: QuiverRep, seed: int = 0):
     """Returns ('split', (bases_a, bases_b)) with the per-vertex bases of two
     complementary summands, ('indecomposable', True) certified, or
-    ('indecomposable', False) when only the heuristic layer remains."""
+    ('indecomposable', False) when no rung decides.
+
+    The rungs, in order: dim End = 1; a Fitting split by a hom-basis
+    endomorphism; the exact analysis of End (_algebra_analysis); Fitting
+    splits by seeded random combinations of the basis, for what the
+    analysis leaves open (in practice Q with a noncommutative quotient).
+    """
     endos = hom_basis(rep, rep)
-    d = len(endos)
-    if d == 1:
+    if len(endos) == 1:
         return ("indecomposable", True)
-    for phi in _endo_candidates(endos, rep, seed):
-        mu = min_poly(_total_matrix(phi))
-        split = coprime_split(mu)
-        if split is not None:
-            return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
-    analysed = _algebra_analysis(rep, endos, seed)
-    if analysed is not None:
-        return analysed
-    f = rep.field
-    if f.is_prime_field and f.p**d <= _ENUM_BOUND:
-        e = _idempotent_search(rep, endos)
-        if e is None:
-            return ("indecomposable", True)
-        return ("split", _split_by_idempotent(e))
-    return ("indecomposable", False)
+    return (
+        _fitting_split(rep, endos)
+        or _algebra_analysis(rep, endos, seed)
+        or _fitting_split(rep, _random_endos(endos, rep, seed))
+        or ("indecomposable", False)
+    )
 
 
 def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
-    """Layered: dim End = 1, Fitting splittings from minimal polynomials,
-    exhaustive idempotent search within the enumeration bound, and an
-    uncertified fallback beyond it."""
+    """Layered, certified except for the last rung: dim End = 1, Fitting
+    splits by the hom-basis endomorphisms, the exact radical analysis of
+    End (a split, or a local End), seeded random Fitting splits, and an
+    uncertified "indecomposable" when none of these decides."""
     if v.total_dim == 0:
         raise ZeroObject("the zero representation is neither decomposable nor indecomposable")
     kind, payload = _find_splitting(v, seed)

@@ -91,12 +91,6 @@ class RelObj:
     def bottom(self) -> Matrix:
         return self.basis.take_rows(self.dim1, self.dim1 + self.dim2)
 
-    def contains(self, vecs: Matrix) -> bool:
-        """Are all columns of vecs inside the span of the relation?"""
-        if vecs.rows != self.dim1 + self.dim2:
-            raise ShapeError("column length must be dim1+dim2")
-        return solve(self.basis, vecs) is not None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RelObj)

@@ -1,8 +1,11 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from foursub import quivers
+from foursub.canon import canon_rep, parse_tag
 from foursub.errors import (
     FieldMismatch,
     IndecomposabilityUndecided,
@@ -353,3 +356,119 @@ def test_rational_decompose_square_of_indecomposable():
     assert len(parts) == 1
     rep, mult = parts[0]
     assert mult == 2 and rep.dims == (2, 2)
+
+
+# -- the radical of End and the exact algebra analysis ---------------------------
+
+
+def _structure_constants(field, basis, mul):
+    """lam[k, i*d+j] for the algebra with the given basis, where mul(a, b)
+    is the basis element a*b or None for zero."""
+    d = len(basis)
+    index = {b: k for k, b in enumerate(basis)}
+    entries = [0] * (d * d * d)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            prod = mul(a, b)
+            if prod is not None:
+                entries[index[prod] * d * d + i * d + j] = 1
+    return Matrix(field, d, d * d, [field.convert(x) for x in entries])
+
+
+S3 = list(itertools.permutations(range(3)))
+T3 = [(i, j) for i in range(3) for j in range(i, 3)]  # matrix units E_ij, i <= j
+
+
+def _s3_mul(a, b):
+    return tuple(a[b[i]] for i in range(3))
+
+
+def _t3_mul(a, b):
+    return (a[0], b[1]) if a[1] == b[0] else None
+
+
+@pytest.mark.parametrize(
+    "field, basis, mul, rad_dim",
+    [
+        (F2, S3, _s3_mul, 1),
+        (F3, S3, _s3_mul, 4),
+        (F5, S3, _s3_mul, 0),
+        (QQ, S3, _s3_mul, 0),
+        (F2, list(range(4)), lambda a, b: (a + b) % 4, 3),
+        (F2, T3, _t3_mul, 3),
+        (F3, T3, _t3_mul, 3),
+    ],
+    ids=["F2[S3]", "F3[S3]", "F5[S3]", "Q[S3]", "F2[C4]", "T3(F2)", "T3(F3)"],
+)
+def test_radical_dimension(field, basis, mul, rad_dim):
+    lam = _structure_constants(field, basis, mul)
+    rad = quivers._radical(field, len(basis), lam)
+    assert rad.cols == rad_dim
+    assert quivers._is_nilpotent_ideal(field, len(basis), lam, rad)
+
+
+def _brute_radical(p, d, lam):
+    """Codes (base p, first coordinate highest) of every x in the algebra
+    such that y x is nilpotent for every y."""
+    lam3 = np.array(lam.entries, dtype=np.int64).reshape(d, d, d)  # [k, i, j]
+    elems = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    weights = p ** np.arange(d - 1, -1, -1)
+    z = elems
+    for _ in range(d.bit_length()):  # z^(2^e) with 2^e >= d
+        z = np.einsum("ni,nj,kij->nk", z, z, lam3) % p
+    nilpotent = ~z.any(axis=1)
+    return {
+        code
+        for code, x in enumerate(elems)
+        if nilpotent[(elems @ np.einsum("kij,j->ik", lam3, x) % p) @ weights].all()
+    }
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_radical_of_end_matches_brute_force(field):
+    p = field.p
+    rng = random.Random(5)
+    checked = 0
+    while checked < 3:
+        q = QUIVERS[rng.choice("FSDKC")]
+        parts = []
+        for _ in range(2):
+            dims = [rng.randint(0, 2) for _ in q.vertices]
+            dims[0] = max(dims[0], 1)
+            parts += [random_rep(field, q, dims, rng)] * rng.randint(1, 2)
+        v = random_conjugate(direct_sum(*parts), rng)
+        endos = hom_basis(v, v)
+        d = len(endos)
+        if d < 3 or p**d > 1 << 10:
+            continue
+        lam = quivers._product_coords(endos, quivers._endo_vec_basis(endos))
+        rad = quivers._radical(field, d, lam)
+        r = rad.cols
+        coords = np.array(rad.entries, dtype=np.int64).reshape(d, r)
+        combos = np.array(list(itertools.product(range(p), repeat=r)), dtype=np.int64)
+        spanned = (combos.reshape(p**r, r) @ coords.T % p) @ (p ** np.arange(d - 1, -1, -1))
+        assert set(spanned.tolist()) == _brute_radical(p, d, lam)
+        checked += 1
+
+
+def test_analysis_rejects_a_radical_that_is_not_nilpotent(monkeypatch):
+    # End is Q[x]/(x^2); a "radical" holding the identity must not certify
+    rep = k_rep(QQ, [[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    monkeypatch.setattr(quivers, "_radical", lambda f, d, lam: Matrix.identity(f, d))
+    with pytest.raises(ShapeError, match="radical"):
+        quivers._algebra_analysis(rep, hom_basis(rep, rep), 0)
+
+
+@pytest.mark.parametrize(
+    "field, tag, copies", [(F2, "K:I(1)", 2), (F2, "K:I(1)", 5), (F3, "D:II(1)", 3)]
+)
+def test_analysis_splits_matrix_ring_ends(field, tag, copies):
+    # End is a full matrix ring over a local ring: a noncommutative quotient
+    # E/rad that the analysis must split by itself
+    unit = canon_rep(parse_tag(tag, field), field)
+    rep = random_conjugate(direct_sum(*[unit] * copies), random.Random(0))
+    kind, (bases_a, bases_b) = quivers._algebra_analysis(rep, hom_basis(rep, rep), 0)
+    assert kind == "split"
+    pieces = [quivers._restrict_to_bases(rep, b) for b in (bases_a, bases_b)]
+    assert all(not piece.is_zero for piece in pieces)
+    assert is_isomorphic(rep, direct_sum(*pieces))
