@@ -3,9 +3,19 @@
 Matrices are immutable values; zero-row and zero-column matrices are
 first-class citizens (several canonical constructors start at size 0).
 Entries are stored as raw field values (int residues / Fractions).  Over
-prime fields the elimination and multiplication kernels run on int64 numpy
-arrays — all arithmetic stays integral and is reduced mod p at every step,
-so results are exact.
+prime fields all arithmetic stays integral and is reduced mod p at every
+step, so results are exact:
+
+* row reduction over GF(2) works on rows as int bitmasks, bit j for column
+  j (reduce_bits);
+* over odd p below 2^20 it works on rows as lists of residues when the
+  system has at most 400 entries (reduce_rows) and on an int64 numpy array
+  when larger;
+* products, minimal polynomials and polynomial evaluation run on int64
+  arrays.
+
+kernel_vectors returns the canonical null-space basis of a system handed in
+as such rows, without building a Matrix.
 """
 
 from __future__ import annotations
@@ -166,7 +176,7 @@ class Matrix:
             a = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
             b = np.array(other.entries, dtype=np.int64).reshape(other.rows, other.cols)
             c = (a @ b) % p
-            return Matrix(f, self.rows, other.cols, [int(x) for x in c.ravel()])
+            return Matrix(f, self.rows, other.cols, c.ravel().tolist())
         out = []
         for i in range(self.rows):
             ri = self.row(i)
@@ -255,7 +265,6 @@ _SMALL_RREF_LIMIT = 400
 
 
 def _rref_gf2(m: Matrix) -> RrefResult:
-    # rows as bitmasks: elimination is a single xor per row
     cols = m.cols
     ent = m.entries
     bits = []
@@ -266,29 +275,39 @@ def _rref_gf2(m: Matrix) -> RrefResult:
             if ent[base + j]:
                 b |= 1 << j
         bits.append(b)
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == m.rows:
-            break
-        bit = 1 << c
-        sel = -1
-        for i in range(r, m.rows):
-            if bits[i] & bit:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        bits[r], bits[sel] = bits[sel], bits[r]
-        rb = bits[r]
-        for i in range(m.rows):
-            if i != r and bits[i] & bit:
-                bits[i] ^= rb
-        pivots.append(c)
-        r += 1
-    entries = [(bits[i] >> j) & 1 for i in range(m.rows) for j in range(cols)]
+    pivots = reduce_bits(bits)
+    entries = [(b >> j) & 1 for b in bits for j in range(cols)]
     reduced = Matrix(m.field, m.rows, m.cols, entries)
-    return RrefResult(reduced, r, tuple(pivots))
+    return RrefResult(reduced, len(pivots), pivots)
+
+
+def reduce_bits(bits: list) -> tuple:
+    """Bring a list of GF(2) rows, each an int bitmask with bit j for column
+    j, to reduced row echelon form in place (zero rows last), and return
+    its pivot columns.
+
+    Rows are added one at a time: a new row is cleared of the pivots found
+    so far (one xor each), its lowest bit becomes a pivot and is cleared
+    from the earlier rows.  The reduced form is unique, so this is the
+    column-by-column elimination in another order."""
+    basis = {}  # pivot bit -> row holding no other pivot bit
+    mask = 0
+    for b in bits:
+        hit = b & mask
+        while hit:
+            low = hit & -hit
+            b ^= basis[low]
+            hit ^= low
+        if b:
+            low = b & -b
+            for key, row in basis.items():
+                if row & low:
+                    basis[key] = row ^ b
+            basis[low] = b
+            mask |= low
+    order = sorted(basis)
+    bits[:] = [basis[k] for k in order] + [0] * (len(bits) - len(order))
+    return tuple(k.bit_length() - 1 for k in order)
 
 
 def _rref_prime_small(m: Matrix) -> RrefResult:
@@ -335,31 +354,38 @@ def reduce_rows(work: list, p: int) -> tuple:
 
 
 def _rref_prime(m: Matrix) -> RrefResult:
-    p = m.field.p
     a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+    pivots = _reduce_array(a, m.field.p)
+    reduced = Matrix(m.field, m.rows, m.cols, a.ravel().tolist())
+    return RrefResult(reduced, len(pivots), pivots)
+
+
+def _reduce_array(a: np.ndarray, p: int) -> tuple:
+    """reduce_rows on a 2-d int64 array of residues mod the odd prime p, in
+    place, for systems too large for Python lists."""
+    rows, cols = a.shape
     r = 0
     pivots = []
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(cols):
+        if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+        # rows r.. are zero left of column c, so only columns c.. change
         piv = int(a[r, c])
         if piv != 1:
-            a[r] = (a[r] * pow(piv, p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            a[r, c:] = a[r, c:] * pow(piv, p - 2, p) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        if others.size:
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    reduced = Matrix(m.field, m.rows, m.cols, [int(x) for x in a.ravel()])
-    return RrefResult(reduced, r, tuple(pivots))
+    return tuple(pivots)
 
 
 def _rref_generic(m: Matrix) -> RrefResult:
@@ -399,16 +425,60 @@ def kernel_basis(m: Matrix) -> Matrix:
     The result has ``m.cols`` rows and ``m.cols - rank(m)`` columns, derived
     from the RREF with each free variable set to one in turn.
     """
-    f = m.field
     red, rank, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
+    cols = m.cols
+    reduced = [red.entries[r * cols : (r + 1) * cols] for r in range(rank)]
+    vectors = _null_vectors(m.field, reduced, pivots, cols)
+    return Matrix(m.field, cols, len(vectors), [x for row in zip(*vectors) for x in row])
+
+
+def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list[int]]:
+    """The basis kernel_basis gives, as lists, for the system over the prime
+    field f whose rows are int bitmasks (bit j for column j) when p = 2 and
+    residue lists otherwise.  The rows are reduced in place, by reduce_bits,
+    by reduce_rows when small (or p too large for int64 products) and on an
+    int64 array when large."""
+    p = f.p
+    if p == 2:
+        pivots = reduce_bits(rows)
+        reduced = [_BitRow(b) for b in rows[: len(pivots)]]
+    elif len(rows) * cols <= _SMALL_RREF_LIMIT or p >= _NP_PRIME_LIMIT:
+        pivots = reduce_rows(rows, p)
+        reduced = rows
+    else:
+        a = np.array(rows, dtype=np.int64)
+        pivots = _reduce_array(a, p)
+        reduced = a[: len(pivots)].tolist()
+    return _null_vectors(f, reduced, pivots, cols)
+
+
+class _BitRow(int):
+    """A GF(2) row bitmask that reads its entry in column j as row[j]."""
+
+    __slots__ = ()
+
+    def __getitem__(self, j: int) -> int:
+        return (self >> j) & 1
+
+
+def _null_vectors(f: FieldSpec, reduced, pivots: tuple, cols: int) -> list[list]:
+    """Vector k of the canonical null-space basis is 1 at the k-th free
+    column, 0 at the other free columns, and minus the reduced rows' entries
+    in that column at the pivot columns."""
+    pivot_set = set(pivots)
     z, o = f.zero(), f.one()
-    entries = [[z] * len(free) for _ in range(m.cols)]
-    for k, fc in enumerate(free):
-        entries[fc][k] = o
-        for r_idx, pc in enumerate(pivots):
-            entries[pc][k] = f.neg(red.entry(r_idx, fc))
-    return Matrix(f, m.cols, len(free), [x for row in entries for x in row])
+    out = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [z] * cols
+        vec[fc] = o
+        for row, pc in zip(reduced, pivots):
+            x = row[fc]
+            if x:
+                vec[pc] = f.neg(x)
+        out.append(vec)
+    return out
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -602,12 +672,22 @@ def jordan_plus(n: int, field: FieldSpec) -> Matrix:
 
 
 def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix (Horner; over F_p on one
+    int64 array)."""
     if not m.is_square:
         raise NotSquare("polynomial evaluation needs a square matrix")
     f = m.field
-    acc = Matrix.zeros(f, m.rows, m.rows)
-    ident = Matrix.identity(f, m.rows)
+    n = m.rows
+    q = f.p
+    if q is not None and q < _NP_PRIME_LIMIT:
+        a = np.array(m.entries, dtype=np.int64).reshape(n, n)
+        acc = np.zeros((n, n), dtype=np.int64)
+        for c in reversed(p.coeffs):
+            acc = acc @ a % q
+            acc.flat[:: n + 1] += c
+        return Matrix(f, n, n, (acc % q).ravel().tolist())
+    acc = Matrix.zeros(f, n, n)
+    ident = Matrix.identity(f, n)
     for c in reversed(p.coeffs):
         acc = acc @ m
         if c:
@@ -674,7 +754,7 @@ def _min_poly_prime(m: Matrix) -> Poly:
                 combo = (combo - c * combos[idx]) % p
         nz = np.nonzero(v)[0]
         if nz.size == 0:
-            return Poly.make(f, [int(x) for x in combo[: k + 1]])
+            return Poly.make(f, combo[: k + 1].tolist())
         piv = int(nz[0])
         inv = pow(int(v[piv]), p - 2, p)
         basis[k] = (v * inv) % p

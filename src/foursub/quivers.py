@@ -41,6 +41,7 @@ from .matrices import (
     inverse,
     is_invertible,
     kernel_basis,
+    kernel_vectors,
     min_poly,
     poly_eval_matrix,
     random_matrix,
@@ -229,8 +230,8 @@ class RepMorphism:
             comps = tuple(comps)
         if len(comps) != len(source.quiver.vertices):
             raise ShapeError("one component per vertex required")
-        for v, c in zip(source.quiver.vertices, comps):
-            want = (target.dim(v), source.dim(v))
+        for v, c, nt, ns in zip(source.quiver.vertices, comps, target.dims, source.dims):
+            want = (nt, ns)
             if (c.rows, c.cols) != want:
                 raise ShapeError(
                     f"component at vertex {v}: expected {want[0]}x{want[1]}, got {c.rows}x{c.cols}"
@@ -299,7 +300,14 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
     """Canonical basis of Hom(v, w).
 
     Unknowns are the entries of all vertex components (vertex order, then
-    row-major); each arrow contributes the commutation-square equations.
+    row-major); each arrow a: s -> t contributes one equation
+    (X_t A - B X_s)_(i,j) = 0 per entry, and the basis is the canonical
+    null-space basis of that system (kernel_basis).  The equations are read
+    straight from the arrow matrices' entry tuples.  Over F_p they never
+    become a Matrix: over F_2 each is one int bitmask (column j of A at the
+    X_t block, XOR row i of B spread with stride dims_v[s] into the X_s
+    block), over odd p one residue list, and matrices.kernel_vectors reduces
+    them and reads the basis off.  Over Q they are the rows of a Matrix.
     """
     if v.quiver is not w.quiver:
         raise QuiverMismatch(f"{v.quiver.name} vs {w.quiver.name}")
@@ -307,50 +315,72 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
         raise FieldMismatch(f"{v.field.name} vs {w.field.name}")
     f = v.field
     Q = v.quiver
-    offsets = {}
+    offsets = []
     total = 0
-    for vert in Q.vertices:
-        offsets[vert] = total
-        total += w.dim(vert) * v.dim(vert)
-
-    rows: list[list] = []
-    z = f.zero()
-    for a in Q.arrows:
-        s, t = a.source, a.target
-        A = v.mat(a.name)  # dims_v[t] x dims_v[s]
-        B = w.mat(a.name)  # dims_w[t] x dims_w[s]
-        nvs, nvt = v.dim(s), v.dim(t)
-        nws, nwt = w.dim(s), w.dim(t)
-        # equation (i, j), i < nwt, j < nvs:  (X_t A)_(i,j) - (B X_s)_(i,j) = 0
-        for i in range(nwt):
-            for j in range(nvs):
-                row = [z] * total
-                for k in range(nvt):
-                    c = A.entry(k, j)
-                    if c:
-                        row[offsets[t] + i * nvt + k] = f.add(
-                            row[offsets[t] + i * nvt + k], c
-                        )
-                for k in range(nws):
-                    c = B.entry(i, k)
-                    if c:
-                        idx = offsets[s] + k * nvs + j
-                        row[idx] = f.sub(row[idx], c)
-                rows.append(row)
-
-    system = Matrix(f, len(rows), total, [x for r in rows for x in r])
-    kern = kernel_basis(system)
+    for nv, nw in zip(v.dims, w.dims):
+        offsets.append(total)
+        total += nw * nv
+    # per arrow s -> t: A, B entries, dims_v[s], dims_v[t], dims_w[s],
+    # dims_w[t] and the offsets of the X_s and X_t blocks
+    squares = []
+    for a, A, B in zip(Q.arrows, v.mats, w.mats):
+        si, ti = Q.vertex_index(a.source), Q.vertex_index(a.target)
+        squares.append((
+            A.entries, B.entries, v.dims[si], v.dims[ti], w.dims[si], w.dims[ti],
+            offsets[si], offsets[ti],
+        ))
+    if f.p == 2:
+        vectors = kernel_vectors(f, _gf2_equations(squares), total)
+    elif f.p is not None:
+        vectors = kernel_vectors(f, _dense_equations(f, squares, total), total)
+    else:
+        rows = _dense_equations(f, squares, total)
+        kern = kernel_basis(Matrix(f, len(rows), total, [x for r in rows for x in r]))
+        vectors = [kern.col(c) for c in range(kern.cols)]
     result = []
-    for col in range(kern.cols):
-        comps = []
-        for vert in Q.vertices:
-            nr, nc = w.dim(vert), v.dim(vert)
-            off = offsets[vert]
-            comps.append(
-                Matrix(f, nr, nc, [kern.entry(off + i, col) for i in range(nr * nc)])
-            )
+    for vec in vectors:
+        comps = [
+            Matrix(f, nw, nv, vec[off : off + nw * nv])
+            for off, nv, nw in zip(offsets, v.dims, w.dims)
+        ]
         result.append(RepMorphism(v, w, comps))
     return result
+
+
+def _gf2_equations(squares) -> list[int]:
+    """The commutation equations over F_2 as bitmasks, bit = unknown."""
+    rows = []
+    for A, B, nvs, nvt, nws, nwt, off_s, off_t in squares:
+        col_a = [
+            sum(1 << k for k in range(nvt) if A[k * nvs + j]) for j in range(nvs)
+        ]
+        for i in range(nwt):
+            row_b = sum(1 << (k * nvs) for k in range(nws) if B[i * nws + k]) << off_s
+            shift = off_t + i * nvt
+            rows.extend((c << shift) ^ (row_b << j) for j, c in enumerate(col_a))
+    return rows
+
+
+def _dense_equations(f: FieldSpec, squares, total: int) -> list[list]:
+    """The commutation equations as dense rows of field values: column j of
+    A at the X_t block, minus row i of B with stride dims_v[s] in the X_s
+    block."""
+    z = f.zero()
+    rows = []
+    for A, B, nvs, nvt, nws, nwt, off_s, off_t in squares:
+        for i in range(nwt):
+            neg_b = [f.neg(c) for c in B[i * nws : (i + 1) * nws]]
+            start = off_t + i * nvt
+            for j in range(nvs):
+                row = [z] * total
+                row[start : start + nvt] = A[j::nvs]
+                if off_s == off_t:  # a loop: both terms are in one block
+                    for k, c in zip(range(off_s + j, total, nvs), neg_b):
+                        row[k] = f.add(row[k], c)
+                else:
+                    row[off_s + j : off_s + j + nws * nvs : nvs] = neg_b
+                rows.append(row)
+    return rows
 
 
 def end_dim(v: QuiverRep) -> int:

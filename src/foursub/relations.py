@@ -380,7 +380,7 @@ def _assemble_hom_system(f, total_unknowns, blocks, source_rel, target_rel) -> M
             )
             out[:, :, offset : offset + nrows * ncols] += block
         out %= f.p
-        return Matrix(f, n_rows, total_unknowns, [int(x) for x in out.reshape(-1)])
+        return Matrix(f, n_rows, total_unknowns, out.reshape(-1).tolist())
     rows = []
     z = f.zero()
     for qi in range(q.rows):

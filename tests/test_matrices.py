@@ -26,6 +26,7 @@ from foursub.matrices import (
     poly_eval_matrix,
     random_invertible,
     random_matrix,
+    reduce_rows,
     rref,
     solve,
     vstack,
@@ -245,6 +246,42 @@ class TestMinPoly:
                 mu = min_poly(a)
                 assert mu.is_monic
                 assert poly_eval_matrix(mu, a).is_zero
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_poly_eval_matches_sum_of_powers(field):
+    # sum_k c_k M^k with Matrix products, for sizes 0..6 and degrees 0..7;
+    # degree 0 is a constant, and the zero polynomial gives the zero matrix
+    rng = random.Random(field.p)
+    for n in range(7):
+        for degree in range(-1, 8):
+            m = random_matrix(field, n, n, rng)
+            top = [rng.randrange(1, field.p)] if degree >= 0 else []
+            p = Poly.make(field, [rng.randrange(field.p) for _ in range(degree)] + top)
+            want, power = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+            for c in p.coeffs:
+                want = want + power.scale(c)
+                power = power @ m
+            got = poly_eval_matrix(p, m)
+            assert (got.rows, got.cols) == (n, n)
+            assert got == want
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])
+def test_large_rref_matches_list_elimination(field):
+    # past 400 entries rref reduces on an int64 array; the list-level
+    # reduce_rows is the reference, on sparse and rank-deficient systems too
+    rng = random.Random(field.p)
+    for rows, cols, rank in [(21, 20, 20), (30, 40, 12), (45, 25, 25), (50, 50, 7)]:
+        left = random_matrix(field, rows, rank, rng)
+        right = random_matrix(field, rank, cols, rng)
+        dense = left @ right
+        sparse = Matrix(field, rows, cols, [x * (rng.random() < 0.3) for x in dense.entries])
+        for m in (dense, sparse):
+            work = [list(m.row(i)) for i in range(rows)]
+            pivots = reduce_rows(work, field.p)
+            reduced = Matrix(field, rows, cols, [x for r in work for x in r])
+            assert rref(m) == (reduced, len(pivots), pivots)
 
 
 @st.composite

@@ -14,9 +14,11 @@ from foursub.errors import (
     ZeroObject,
 )
 from foursub.fields import GF, QQ
-from foursub.matrices import Matrix
+from foursub.matrices import Matrix, jordan_plus, kernel_basis
 from foursub.quivers import (
     QUIVERS,
+    Arrow,
+    Quiver,
     QuiverRep,
     RepMorphism,
     decompose,
@@ -129,6 +131,134 @@ class TestHom:
             hom_basis(QuiverRep.zero(F2, KQ), QuiverRep.zero(F2, CQ))
         with pytest.raises(FieldMismatch):
             hom_basis(QuiverRep.zero(F2, KQ), QuiverRep.zero(F3, KQ))
+
+
+def _dense_hom_basis(v, w):
+    """Reference: one dense row per commutation equation (X_t A - B X_s)_ij,
+    then kernel_basis of the system Matrix; each basis element as the entry
+    tuples of its vertex components."""
+    f, q = v.field, v.quiver
+    offsets, total = {}, 0
+    for vert in q.vertices:
+        offsets[vert] = total
+        total += w.dim(vert) * v.dim(vert)
+    rows = []
+    for a in q.arrows:
+        s, t = a.source, a.target
+        for i in range(w.dim(t)):
+            for j in range(v.dim(s)):
+                row = [f.zero()] * total
+                for k in range(v.dim(t)):
+                    idx = offsets[t] + i * v.dim(t) + k
+                    row[idx] = f.add(row[idx], v.mat(a.name).entry(k, j))
+                for k in range(w.dim(s)):
+                    idx = offsets[s] + k * v.dim(s) + j
+                    row[idx] = f.sub(row[idx], w.mat(a.name).entry(i, k))
+                rows.append(row)
+    kern = kernel_basis(Matrix(f, len(rows), total, [x for r in rows for x in r]))
+    return [
+        [kern.col(c)[offsets[x] : offsets[x] + w.dim(x) * v.dim(x)] for x in q.vertices]
+        for c in range(kern.cols)
+    ]
+
+
+def _random_pairs(field, count, seed):
+    """Seeded (v, w) pairs on all five quivers with dims 0..3: unrelated
+    pairs, v with itself, and v against a conjugate of v + v."""
+    rng = random.Random(seed)
+    for n in range(count):
+        q = QUIVERS["FSDKC"[n % 5]]
+        v = random_rep(field, q, [rng.randint(0, 3) for _ in q.vertices], rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = random_rep(field, q, [rng.randint(0, 3) for _ in q.vertices], rng)
+        elif kind == 1:
+            w = v
+        else:
+            w = random_conjugate(direct_sum(v, v), rng)
+        yield v, w
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_hom_basis_equals_dense_reference(field):
+    # 3 x 200 pairs, every quiver and the zero dims included
+    zero_dims = 0
+    for v, w in _random_pairs(field, 200, field.p):
+        got = [[c.entries for c in h.comps] for h in hom_basis(v, w)]
+        assert got == _dense_hom_basis(v, w)
+        zero_dims += 0 in v.dims + w.dims
+    assert zero_dims > 50
+
+
+def _count_commuting(v, w):
+    """How many tuples of vertex components commute with every arrow,
+    counted over all of them at once."""
+    p, q = v.field.p, v.quiver
+    shapes = [(nw, nv) for nw, nv in zip(w.dims, v.dims)]
+    starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+    tuples = np.array(list(itertools.product(range(p), repeat=starts[-1])), dtype=np.int64)
+    comps = [
+        tuples[:, starts[k] : starts[k + 1]].reshape(len(tuples), r, c)
+        for k, (r, c) in enumerate(shapes)
+    ]
+    ok = np.ones(len(tuples), dtype=bool)
+    for a, ma, mb in zip(q.arrows, v.mats, w.mats):
+        s, t = q.vertex_index(a.source), q.vertex_index(a.target)
+        A = np.array(ma.entries, dtype=np.int64).reshape(ma.rows, ma.cols)
+        B = np.array(mb.entries, dtype=np.int64).reshape(mb.rows, mb.cols)
+        ok &= ((comps[t] @ A - B @ comps[s]) % p == 0).all(axis=(1, 2))
+    return int(ok.sum())
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_hom_basis_against_brute_force(field):
+    # cells with at most 3^8 component tuples
+    p = field.p
+    rng = random.Random(17)
+    cells = 0
+    while cells < 40:
+        q = QUIVERS["FSDKC"[cells % 5]]
+        v = random_rep(field, q, [rng.randint(0, 2) for _ in q.vertices], rng)
+        w = random_rep(field, q, [rng.randint(0, 2) for _ in q.vertices], rng)
+        if p ** sum(nw * nv for nw, nv in zip(w.dims, v.dims)) > 3**8:
+            continue
+        cells += 1
+        basis = hom_basis(v, w)
+        assert _count_commuting(v, w) == p ** len(basis)
+        # the free coordinate of a canonical basis vector is its last nonzero
+        # one: 1 there and 0 at the free coordinates of the others
+        vectors = [[x for c in h.comps for x in c.entries] for h in basis]
+        free = [max(i for i, x in enumerate(vec) if x) for vec in vectors]
+        assert free == sorted(set(free))
+        for k, vec in enumerate(vectors):
+            assert [vec[j] for j in free] == [int(i == k) for i in range(len(free))]
+
+
+def test_hom_basis_past_int64_products():
+    # p^2 > 2^63, and the 48 x 50 system is past the small-system limit
+    field = GF(4294967311)
+    rng = random.Random(3)
+    for _ in range(3):
+        v = random_rep(field, FQ, [3, 2, 2, 2, 2], rng)
+        w = random_conjugate(direct_sum(v, v), rng)
+        got = [[c.entries for c in h.comps] for h in hom_basis(v, w)]
+        assert got == _dense_hom_basis(v, w)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=["F2", "F3", "F5", "Q"])
+def test_hom_basis_on_a_loop(field):
+    # an arrow s -> s puts both terms of X_s A - B X_s in one block of unknowns
+    loop = Quiver("L", (1, 2), (Arrow("x", 1, 1), Arrow("y", 1, 2)))
+    rng = random.Random(29)
+    for _ in range(30):
+        v = random_rep(field, loop, [rng.randint(0, 3) for _ in range(2)], rng)
+        w = random_rep(field, loop, [rng.randint(0, 3) for _ in range(2)], rng)
+        got = [[c.entries for c in h.comps] for h in hom_basis(v, w)]
+        assert got == _dense_hom_basis(v, w)
+    jordan = Quiver("J", (1,), (Arrow("x", 1, 1),))
+    for n in range(1, 5):
+        rep = QuiverRep(field, jordan, [n], [jordan_plus(n, field)])
+        assert end_dim(rep) == n  # End of a nilpotent Jordan block is F[x]/x^n
 
 
 class TestIso:
