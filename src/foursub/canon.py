@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InvalidTag, ParseError, UnclassifiedSummand
 from .fields import FieldSpec, Poly, format_poly, monic_irreducibles, parse_poly
@@ -855,9 +855,7 @@ def _category_of(obj) -> str:
     raise InvalidTag(f"cannot classify objects of type {type(obj).__name__}")
 
 
-def classify_indecomposable(
-    obj, candidates=None, seed: int = 0
-) -> IndecompTag:
+def classify_indecomposable(obj, candidates=None) -> IndecompTag:
     """Match a single indecomposable object against its category's table.
 
     Stage one compares inside the category (exact table membership); stage
@@ -865,8 +863,7 @@ def classify_indecomposable(
     permutations, which absorbs the symmetries the tables quotient out.
     Both stages test for an invertible hom-basis element.  Canonical
     representatives are indecomposable, and so are their embeddings, so
-    each test is exact whatever obj is.  The seed is unused and kept for
-    the signature.
+    each test is exact whatever obj is.
     """
     from .quivers import _iso_to_indecomposable
 
@@ -909,6 +906,6 @@ def classify(obj, candidates=None, seed: int = 0) -> list[tuple[IndecompTag, int
         summands = rel_decompose(obj, seed=seed)
     tally: dict[IndecompTag, int] = {}
     for rep, mult in summands:
-        tag = classify_indecomposable(rep, candidates, seed)
+        tag = classify_indecomposable(rep, candidates)
         tally[tag] = tally.get(tag, 0) + mult
     return sorted(tally.items(), key=lambda pair: pair[0].sort_key())

@@ -516,7 +516,7 @@ def _verdicts(obj: CensusObject, seed: int) -> tuple:
     tag = None
     if indec:
         try:
-            tag = classify_indecomposable(obj, seed=seed)
+            tag = classify_indecomposable(obj)
         except UnclassifiedSummand:
             tag = None
     return indec, tag

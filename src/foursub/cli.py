@@ -13,7 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .canon import canon_rep, classify, classify_indecomposable, format_tag, nhat, parse_tag
+from .canon import canon_rep, classify, format_tag, nhat, parse_tag
 from .census import census
 from .errors import FoursubError, NotInC5, NotIndecomposable, ParseError
 from .fields import FieldSpec, parse_poly

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
 from .errors import (
-    DimensionMismatch,
     FieldMismatch,
     NotInC5,
     RestrictionNotContained,

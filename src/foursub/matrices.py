@@ -4,18 +4,22 @@ Matrices are immutable values; zero-row and zero-column matrices are
 first-class citizens (several canonical constructors start at size 0).
 Entries are stored as raw field values (int residues / Fractions).  Over
 prime fields all arithmetic stays integral and is reduced mod p at every
-step, so results are exact:
+step, so results are exact.
 
-* row reduction over GF(2) works on rows as int bitmasks, bit j for column
-  j (reduce_bits);
-* over odd p below 2^20 it works on rows as lists of residues when the
-  system has at most 400 entries (reduce_rows) and on an int64 numpy array
-  when larger;
-* products, minimal polynomials and polynomial evaluation run on int64
-  arrays.
+Row reduction has one elimination per kind of row:
 
-kernel_vectors returns the canonical null-space basis of a system handed in
-as such rows, without building a Matrix.
+* over F_2, rows are int bitmasks, bit j for column j (reduce_bits);
+* over Q, over odd p from 2^20 up, and over odd p for systems of at most
+  400 entries, rows are Python lists of field values (reduce_rows);
+* over odd p below 2^20, larger systems are one int64 numpy array
+  (_reduce_array).
+
+numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
+product or sum of products can overflow: that array elimination, products,
+minimal polynomials and polynomial evaluation.  Every other field takes
+the Python-integer or Fraction path.  rref picks the elimination for a
+Matrix; kernel_vectors returns the canonical null-space basis of a system
+handed in as such rows, without building a Matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotSquare, ReducibleModulus
 from .fields import FieldSpec, Poly, is_irreducible, poly_power
 
-# numpy int64 stays exact as long as p*p*cols cannot overflow; fields in
-# practice are tiny, the guard is just defensive.
+# numpy int64 stays exact as long as p*p*cols cannot overflow
 _NP_PRIME_LIMIT = 1 << 20
 
 
@@ -250,18 +253,23 @@ def rref(m: Matrix) -> RrefResult:
         result = RrefResult(m, 0, ())
     elif p == 2:
         result = _rref_gf2(m)
-    elif p is not None and p < _NP_PRIME_LIMIT:
-        if m.rows * m.cols <= _SMALL_RREF_LIMIT:
-            result = _rref_prime_small(m)
-        else:
-            result = _rref_prime(m)
+    elif _fits_rows(p, m.rows * m.cols):
+        result = _rref_rows(m)
     else:
-        result = _rref_generic(m)
+        result = _rref_prime(m)
     object.__setattr__(m, "_rref", result)
     return result
 
 
 _SMALL_RREF_LIMIT = 400
+
+
+def _fits_rows(p, entries: int) -> bool:
+    """Is a system over Q (p None) or odd p with this many entries reduced
+    as Python lists (reduce_rows) rather than on an int64 array?  Over Q and
+    for p >= _NP_PRIME_LIMIT int64 is not exact, and up to
+    _SMALL_RREF_LIMIT entries lists are faster."""
+    return p is None or p >= _NP_PRIME_LIMIT or entries <= _SMALL_RREF_LIMIT
 
 
 def _rref_gf2(m: Matrix) -> RrefResult:
@@ -310,7 +318,7 @@ def reduce_bits(bits: list) -> tuple:
     return tuple(k.bit_length() - 1 for k in order)
 
 
-def _rref_prime_small(m: Matrix) -> RrefResult:
+def _rref_rows(m: Matrix) -> RrefResult:
     cols = m.cols
     work = [list(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
     pivots = reduce_rows(work, m.field.p)
@@ -318,9 +326,10 @@ def _rref_prime_small(m: Matrix) -> RrefResult:
     return RrefResult(reduced, len(pivots), pivots)
 
 
-def reduce_rows(work: list, p: int) -> tuple:
-    """Bring a list of equally long rows of residues mod the prime p to
-    reduced row echelon form in place, and return its pivot columns."""
+def reduce_rows(work: list, p: Optional[int]) -> tuple:
+    """Bring a list of equally long rows to reduced row echelon form in
+    place, and return its pivot columns.  The rows hold residues mod the
+    prime p, or Fractions when p is None (the rationals)."""
     rows, cols = len(work), len(work[0]) if work else 0
     r = 0
     pivots = []
@@ -338,16 +347,23 @@ def reduce_rows(work: list, p: int) -> tuple:
         row_r = work[r]
         piv = row_r[c]
         if piv != 1:
-            inv = pow(piv, p - 2, p)
-            work[r] = row_r = [(inv * x) % p for x in row_r]
+            if p is None:
+                row_r = [x / piv for x in row_r]
+            else:
+                inv = pow(piv, p - 2, p)
+                row_r = [(inv * x) % p for x in row_r]
+            work[r] = row_r
         for i in range(rows):
             if i != r:
                 factor = work[i][c]
                 if factor:
                     row_i = work[i]
-                    work[i] = [
-                        (x - factor * y) % p for x, y in zip(row_i, row_r)
-                    ]
+                    if p is None:
+                        work[i] = [x - factor * y for x, y in zip(row_i, row_r)]
+                    else:
+                        work[i] = [
+                            (x - factor * y) % p for x, y in zip(row_i, row_r)
+                        ]
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -388,37 +404,6 @@ def _reduce_array(a: np.ndarray, p: int) -> tuple:
     return tuple(pivots)
 
 
-def _rref_generic(m: Matrix) -> RrefResult:
-    f = m.field
-    work = [list(m.row(i)) for i in range(m.rows)]
-    r = 0
-    pivots = []
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pivot_row = None
-        for i in range(r, m.rows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv_inv = f.inv(work[r][c])
-        if work[r][c] != f.one():
-            work[r] = [f.mul(piv_inv, x) for x in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [
-                    f.sub(x, f.mul(factor, y)) for x, y in zip(work[i], work[r])
-                ]
-        pivots.append(c)
-        r += 1
-    reduced = Matrix(f, m.rows, m.cols, [x for row in work for x in row])
-    return RrefResult(reduced, r, tuple(pivots))
-
-
 def kernel_basis(m: Matrix) -> Matrix:
     """Canonical null-space basis; columns are the basis vectors.
 
@@ -432,17 +417,16 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix(m.field, cols, len(vectors), [x for row in zip(*vectors) for x in row])
 
 
-def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list[int]]:
-    """The basis kernel_basis gives, as lists, for the system over the prime
-    field f whose rows are int bitmasks (bit j for column j) when p = 2 and
-    residue lists otherwise.  The rows are reduced in place, by reduce_bits,
-    by reduce_rows when small (or p too large for int64 products) and on an
-    int64 array when large."""
+def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list]:
+    """The basis kernel_basis gives, as lists, for the system over f whose
+    rows are int bitmasks (bit j for column j) over F_2 and lists of field
+    values otherwise.  The rows are reduced in place with the elimination
+    rref would choose for that field and size."""
     p = f.p
     if p == 2:
         pivots = reduce_bits(rows)
         reduced = [_BitRow(b) for b in rows[: len(pivots)]]
-    elif len(rows) * cols <= _SMALL_RREF_LIMIT or p >= _NP_PRIME_LIMIT:
+    elif _fits_rows(p, len(rows) * cols):
         pivots = reduce_rows(rows, p)
         reduced = rows
     else:

@@ -303,11 +303,11 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
     row-major); each arrow a: s -> t contributes one equation
     (X_t A - B X_s)_(i,j) = 0 per entry, and the basis is the canonical
     null-space basis of that system (kernel_basis).  The equations are read
-    straight from the arrow matrices' entry tuples.  Over F_p they never
-    become a Matrix: over F_2 each is one int bitmask (column j of A at the
-    X_t block, XOR row i of B spread with stride dims_v[s] into the X_s
-    block), over odd p one residue list, and matrices.kernel_vectors reduces
-    them and reads the basis off.  Over Q they are the rows of a Matrix.
+    straight from the arrow matrices' entry tuples and never become a
+    Matrix: over F_2 each is one int bitmask (column j of A at the X_t
+    block, XOR row i of B spread with stride dims_v[s] into the X_s block),
+    otherwise one list of field values, and matrices.kernel_vectors reduces
+    them and reads the basis off.
     """
     if v.quiver is not w.quiver:
         raise QuiverMismatch(f"{v.quiver.name} vs {w.quiver.name}")
@@ -330,13 +330,10 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
             offsets[si], offsets[ti],
         ))
     if f.p == 2:
-        vectors = kernel_vectors(f, _gf2_equations(squares), total)
-    elif f.p is not None:
-        vectors = kernel_vectors(f, _dense_equations(f, squares, total), total)
+        rows = _gf2_equations(squares)
     else:
         rows = _dense_equations(f, squares, total)
-        kern = kernel_basis(Matrix(f, len(rows), total, [x for r in rows for x in r]))
-        vectors = [kern.col(c) for c in range(kern.cols)]
+    vectors = kernel_vectors(f, rows, total)
     result = []
     for vec in vectors:
         comps = [

@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 from typing import Union
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -35,6 +33,7 @@ from .matrices import (
     hstack,
     is_invertible,
     kernel_basis,
+    kernel_vectors,
     random_matrix,
     rref,
     solve,
@@ -352,84 +351,78 @@ def _annihilator_rows(rel: RelObj) -> Matrix:
     return _annihilator_of_basis(rel.basis)
 
 
-def _assemble_hom_system(f, total_unknowns, blocks, source_rel, target_rel) -> Matrix:
-    """Constraint system for Q (f1+f2) basis(R) = 0, one row per
-    (annihilator row, source basis column) pair.
+def _hom_equations(f: FieldSpec, total: int, blocks, source_rel, target_rel) -> list:
+    """The equations Q (f1+f2) basis(R) = 0, one per (annihilator row,
+    source basis column) pair: int bitmasks over F_2 (bit = unknown),
+    lists of field values otherwise.
 
     blocks: list of (offset, nrows, ncols, row_base, src_row_base) meaning an
-    unknown matrix X (nrows x ncols) placed at rows [row_base, row_base+nrows)
-    of the stacked map and acting on source rows
-    [src_row_base, src_row_base+ncols) of the relation basis.
+    unknown matrix X (nrows x ncols, row-major from offset) placed at rows
+    [row_base, row_base+nrows) of the stacked map and acting on source rows
+    [src_row_base, src_row_base+ncols) of the relation basis.  The unknown
+    X[i, k] then has coefficient Q[a, row_base+i] * basis[src_base+k, b];
+    blocks may share unknowns, whose coefficients add.
     """
     q = _annihilator_rows(target_rel)
-    r_basis = source_rel.basis
-    n_rows = q.rows * r_basis.cols
-    if f.p is not None and n_rows and total_unknowns:
-        qa = np.array(q.entries, dtype=np.int64).reshape(q.rows, q.cols)
-        ba = np.array(r_basis.entries, dtype=np.int64).reshape(
-            r_basis.rows, r_basis.cols
-        )
-        out = np.zeros((q.rows, r_basis.cols, total_unknowns), dtype=np.int64)
-        for offset, nrows, ncols, row_base, src_base in blocks:
-            if nrows == 0 or ncols == 0:
-                continue
-            qb = qa[:, row_base : row_base + nrows]
-            bb = ba[src_base : src_base + ncols, :]
-            block = np.einsum("ai,kb->abik", qb, bb).reshape(
-                q.rows, r_basis.cols, nrows * ncols
-            )
-            out[:, :, offset : offset + nrows * ncols] += block
-        out %= f.p
-        return Matrix(f, n_rows, total_unknowns, out.reshape(-1).tolist())
-    rows = []
+    basis = source_rel.basis
     z = f.zero()
+    rows = []
     for qi in range(q.rows):
-        for cj in range(r_basis.cols):
-            row = [z] * total_unknowns
-            for offset, nrows, ncols, row_base, src_base in blocks:
-                for i in range(nrows):
-                    qc = q.entry(qi, row_base + i)
-                    if not qc:
-                        continue
-                    for k in range(ncols):
-                        rc = r_basis.entry(src_base + k, cj)
-                        if rc:
-                            idx = offset + i * ncols + k
-                            row[idx] = f.add(row[idx], f.mul(qc, rc))
+        q_row = q.row(qi)
+        for cj in range(basis.cols):
+            b_col = basis.entries[cj :: basis.cols]
+            if f.p == 2:
+                row = 0
+                for offset, nrows, ncols, row_base, src_base in blocks:
+                    bits = sum(1 << k for k in range(ncols) if b_col[src_base + k])
+                    for i in range(nrows):
+                        if q_row[row_base + i]:
+                            row ^= bits << (offset + i * ncols)
+            else:
+                row = [z] * total
+                for offset, nrows, ncols, row_base, src_base in blocks:
+                    b_part = b_col[src_base : src_base + ncols]
+                    for i in range(nrows):
+                        qc = q_row[row_base + i]
+                        if qc:
+                            base = offset + i * ncols
+                            for k, rc in enumerate(b_part, base):
+                                if rc:
+                                    row[k] = f.add(row[k], f.mul(qc, rc))
             rows.append(row)
-    return Matrix(f, n_rows, total_unknowns, [x for r in rows for x in r])
+    return rows
 
 
 def rel_hom_basis(rho, sigma) -> list[RelMorphism]:
     """Canonical basis of morphisms (f1, f2) from rho to sigma.
 
     The conditions are Q (f1+f2) basis(R) = 0 for each stored relation,
-    where the rows of Q span the annihilator of the target relation.
+    where the rows of Q span the annihilator of the target relation; the
+    unknowns are the entries of f1 then f2, row-major, and
+    matrices.kernel_vectors reduces the equations.
     """
     if rho.field != sigma.field:
         raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
     f = rho.field
     pairs = _relation_pairs(rho, sigma)
     n1 = sigma.dim1 * rho.dim1
-    n2 = sigma.dim2 * rho.dim2
-    total = n1 + n2
-    systems = []
+    blocks = [
+        (0, sigma.dim1, rho.dim1, 0, 0),
+        (n1, sigma.dim2, rho.dim2, sigma.dim1, rho.dim1),
+    ]
+    total = n1 + sigma.dim2 * rho.dim2
+    rows = []
     for r_src, r_tgt in pairs:
-        blocks = [
-            (0, sigma.dim1, rho.dim1, 0, 0),
-            (n1, sigma.dim2, rho.dim2, sigma.dim1, rho.dim1),
-        ]
-        systems.append(_assemble_hom_system(f, total, blocks, r_src, r_tgt))
-    system = vstack(*systems) if systems else Matrix.zeros(f, 0, total)
-    kern = kernel_basis(system)
-    out = []
-    for col in range(kern.cols):
-        f1 = Matrix(f, sigma.dim1, rho.dim1, [kern.entry(i, col) for i in range(n1)])
-        f2 = Matrix(
-            f, sigma.dim2, rho.dim2, [kern.entry(n1 + i, col) for i in range(n2)]
+        rows.extend(_hom_equations(f, total, blocks, r_src, r_tgt))
+    return [
+        RelMorphism(
+            rho,
+            sigma,
+            Matrix(f, sigma.dim1, rho.dim1, vec[:n1]),
+            Matrix(f, sigma.dim2, rho.dim2, vec[n1:]),
         )
-        out.append(RelMorphism(rho, sigma, f1, f2))
-    return out
+        for vec in kernel_vectors(f, rows, total)
+    ]
 
 
 def lrel_hom_basis(rho: RelObj, sigma: RelObj) -> list[Matrix]:
@@ -440,28 +433,13 @@ def lrel_hom_basis(rho: RelObj, sigma: RelObj) -> list[Matrix]:
     if rho.dim1 != rho.dim2 or sigma.dim1 != sigma.dim2:
         raise DimensionMismatch("one-space morphisms need dim1 = dim2")
     f = rho.field
-    n = sigma.dim1 * rho.dim1
     blocks = [
         (0, sigma.dim1, rho.dim1, 0, 0),
         (0, sigma.dim2, rho.dim2, sigma.dim1, rho.dim1),
     ]
-    system = _assemble_hom_system(f, n, blocks, rho, sigma)
-    kern = kernel_basis(system)
-    return [
-        Matrix(f, sigma.dim1, rho.dim1, [kern.entry(i, col) for i in range(n)])
-        for col in range(kern.cols)
-    ]
-
-
-def _rel_dims_match(rho, sigma) -> bool:
-    if (rho.dim1, rho.dim2) != (sigma.dim1, sigma.dim2):
-        return False
-    if isinstance(rho, PairRelObj):
-        return (rho.basis1.cols, rho.basis2.cols) == (
-            sigma.basis1.cols,
-            sigma.basis2.cols,
-        )
-    return rho.rel_dim == sigma.rel_dim
+    n = sigma.dim1 * rho.dim1
+    rows = _hom_equations(f, n, blocks, rho, sigma)
+    return [Matrix(f, sigma.dim1, rho.dim1, vec) for vec in kernel_vectors(f, rows, n)]
 
 
 def _as_pair(rho) -> PairRelObj:
@@ -472,28 +450,14 @@ def _as_pair(rho) -> PairRelObj:
 
 
 def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
-    """Certified isomorphism test for relations and relation pairs.
-
-    With equal relation dimensions a morphism whose two components are
-    invertible is an isomorphism.  True when a hom-basis element is one;
-    this settles every pair in which rho or sigma is indecomposable (see
-    quivers._iso_to_indecomposable).  False when dim Hom(rho, sigma) differs
-    from dim End rho or dim End sigma.  Otherwise the answer is
+    """Certified isomorphism test for relations and relation pairs:
     quivers.is_isomorphic on the embeddings under functor 6, which is full
     and faithful and so reflects isomorphism; a single relation R embeds as
-    the pair (R, R).
-    """
+    the pair (R, R)."""
     if rho.field != sigma.field:
         raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
     if isinstance(rho, PairRelObj) != isinstance(sigma, PairRelObj):
         raise ShapeError("cannot mix single relations and relation pairs")
-    if not _rel_dims_match(rho, sigma):
-        return False
-    homs = rel_hom_basis(rho, sigma)
-    if any(h.is_invertible for h in homs):
-        return True
-    if not len(homs) == len(rel_hom_basis(rho, rho)) == len(rel_hom_basis(sigma, sigma)):
-        return False
     from .functors import apply_functor
     from .quivers import is_isomorphic
 
@@ -504,18 +468,12 @@ def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
 
 def lrel_is_isomorphic(rho: RelObj, sigma: RelObj, seed: int = 0) -> bool:
     """Certified isomorphism test in the one-space category (a single
-    invertible f used on both coordinates).
-
-    The same steps as rel_is_isomorphic on the one-space hom bases, with
-    functor 5 as the full and faithful embedding.
-    """
-    if (rho.dim1, rho.dim2) != (sigma.dim1, sigma.dim2) or rho.rel_dim != sigma.rel_dim:
-        return False
-    homs = lrel_hom_basis(rho, sigma)
-    if any(is_invertible(h) for h in homs):
-        return True
-    if not len(homs) == len(lrel_hom_basis(rho, rho)) == len(lrel_hom_basis(sigma, sigma)):
-        return False
+    invertible f used on both coordinates): quivers.is_isomorphic on the
+    embeddings under functor 5, which is full and faithful."""
+    if rho.field != sigma.field:
+        raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
+    if rho.dim1 != rho.dim2 or sigma.dim1 != sigma.dim2:
+        raise DimensionMismatch("one-space morphisms need dim1 = dim2")
     from .functors import apply_functor
     from .quivers import is_isomorphic
 

@@ -22,6 +22,7 @@ from foursub.matrices import (
     is_invertible,
     jordan_plus,
     kernel_basis,
+    kernel_vectors,
     min_poly,
     poly_eval_matrix,
     random_invertible,
@@ -282,6 +283,47 @@ def test_large_rref_matches_list_elimination(field):
             pivots = reduce_rows(work, field.p)
             reduced = Matrix(field, rows, cols, [x for r in work for x in r])
             assert rref(m) == (reduced, len(pivots), pivots)
+
+
+def _sympy_rref(m: Matrix) -> tuple:
+    """rref by sympy's DomainMatrix, as (entries, pivot columns)."""
+    from sympy import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    p = m.field.p
+    if p is None:
+        dom = SymQQ
+        rows = [[dom(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)]
+    else:
+        dom = SymGF(p)
+        rows = [[dom(x) for x in m.row(i)] for i in range(m.rows)]
+    red, pivots = DomainMatrix(rows, (m.rows, m.cols), dom).rref()
+    flat = [x for row in red.to_list() for x in row]
+    if p is None:
+        entries = tuple(Fraction(int(x.numerator), int(x.denominator)) for x in flat)
+    else:
+        entries = tuple(int(x) % p for x in flat)
+    return entries, tuple(pivots)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(4294967311)], ids=["Q", "F4294967311"])
+def test_rref_matches_sympy(field):
+    # Q and p >= 2^20 reduce as Python lists at every size; sympy is the
+    # reference, on sparse and rank-deficient systems and past 400 entries
+    rng = random.Random(17)
+    shapes = [(1, 1, 1), (3, 5, 2), (6, 4, 4), (7, 7, 3), (12, 9, 5), (21, 20, 20), (25, 30, 6)]
+    for rows, cols, rank in shapes:
+        dense = random_matrix(field, rows, rank, rng) @ random_matrix(field, rank, cols, rng)
+        sparse = Matrix(field, rows, cols, [x * (rng.random() < 0.3) for x in dense.entries])
+        for m in (dense, sparse):
+            red, rank_m, pivots = rref(m)
+            assert (red.entries, pivots) == _sympy_rref(m)
+            assert rank_m == len(pivots)
+            kernel = kernel_basis(m)
+            rows_m = [list(m.row(i)) for i in range(rows)]
+            assert kernel_vectors(field, rows_m, cols) == [
+                list(kernel.col(j)) for j in range(kernel.cols)
+            ]
 
 
 @st.composite

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from foursub.errors import DimensionMismatch, FieldMismatch, NotIdempotent
+from foursub.errors import DimensionMismatch, FieldMismatch, NotIdempotent, ShapeError
 from foursub.fields import GF, QQ
+from foursub.functors import hom_transport_check
 from foursub.matrices import (
     Matrix,
     direct_sum,
     is_invertible,
     jordan_plus,
     random_invertible,
+    rref,
 )
 from foursub.relations import (
     PairRelObj,
@@ -33,6 +35,8 @@ from foursub.relations import (
 
 F2 = GF(2)
 F3 = GF(3)
+# p^2 > 2^63: no product of two residues fits in int64
+BIG = GF(4294967311)
 
 
 def M(field, rows):
@@ -188,6 +192,69 @@ class TestHomIso:
         assert not any(is_invertible(h) for h in lrel_hom_basis(rho, one_space))
         assert lrel_is_isomorphic(rho, one_space)
         assert not lrel_is_isomorphic(rho, rel_direct_sum(r, zero))
+
+
+    def test_input_checks(self):
+        single = rel_from_operator(M(F2, [[1]]))
+        pair = PairRelObj(F2, 1, 1, single.basis, single.basis)
+        with pytest.raises(ShapeError):
+            rel_is_isomorphic(single, pair)
+        with pytest.raises(FieldMismatch):
+            rel_is_isomorphic(single, rel_from_operator(M(F3, [[1]])))
+        with pytest.raises(DimensionMismatch):
+            lrel_is_isomorphic(rel_full(F2, 1, 2), rel_full(F2, 1, 2))
+        with pytest.raises(FieldMismatch):
+            lrel_is_isomorphic(single, rel_from_operator(M(F3, [[1]])))
+        assert not rel_is_isomorphic(rel_full(F2, 1, 2), rel_full(F2, 2, 1))
+        assert not lrel_is_isomorphic(rel_full(F2, 1, 1), rel_full(F2, 2, 2))
+
+
+def _zero_heavy_rel(field, d1, d2, rng):
+    """A random relation whose basis is mostly zeros, so that hom spaces
+    between such relations are often nonzero."""
+    r = rng.randint(0, d1 + d2)
+    while True:
+        entries = [
+            0 if rng.random() < 0.6 else rng.randrange(field.p)
+            for _ in range((d1 + d2) * r)
+        ]
+        basis = Matrix(field, d1 + d2, r, entries)
+        if rref(basis).rank == r:
+            return RelObj(field, d1, d2, basis)
+
+
+class TestHomPastInt64Products:
+    # each object is paired with an unrelated one and with a conjugate
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairrel(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+            a, b, c, d = (_zero_heavy_rel(BIG, d1, d2, rng) for _ in range(4))
+            x = PairRelObj(BIG, d1, d2, a.basis, b.basis)
+            g = direct_sum(random_invertible(BIG, d1, rng), random_invertible(BIG, d2, rng))
+            for y in (
+                PairRelObj(BIG, d1, d2, c.basis, d.basis),
+                PairRelObj(BIG, d1, d2, g @ a.basis, g @ b.basis),
+            ):
+                assert all(h.is_valid() for h in rel_hom_basis(x, y))
+                assert hom_transport_check(6, x, y)[2]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linrel1(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            x = _zero_heavy_rel(BIG, d, d, rng)
+            g = random_invertible(BIG, d, rng)
+            for y in (
+                _zero_heavy_rel(BIG, d, d, rng),
+                RelObj(BIG, d, d, direct_sum(g, g) @ x.basis),
+            ):
+                for h in lrel_hom_basis(x, y):
+                    assert RelMorphism(x, y, h, h).is_valid()
+                assert hom_transport_check(5, x, y)[2]
 
 
 class TestDirectSum:
