@@ -29,12 +29,11 @@ from .matrices import (
     i_left,
     i_right,
     i_up,
-    is_invertible,
     jordan_plus,
     vstack,
 )
 from .quivers import QUIVERS, QuiverRep
-from .relations import PairRelObj, RelObj
+from .relations import PairRelObj, RelObj, _as_rep
 
 CATEGORIES = ("F", "S", "D", "K", "C", "LinRel1", "PairRel")
 
@@ -831,18 +830,13 @@ def _embedded_canon(tag: IndecompTag, field: FieldSpec) -> QuiverRep:
 def _basis_iso(category: str, a, b) -> bool:
     """Is some element of the in-category hom basis a -> b an isomorphism?
     Exact when a or b is indecomposable (quivers._iso_to_indecomposable);
-    a and b have the same shape."""
-    if category in ("F", "S", "D", "K", "C"):
-        from .quivers import _iso_to_indecomposable
+    a and b have the same shape.  Relation objects are compared as their
+    S- or K-representations, which have the same hom spaces."""
+    from .quivers import _iso_to_indecomposable
 
-        return _iso_to_indecomposable(a, b) is not None
-    if category == "LinRel1":
-        from .relations import lrel_hom_basis
-
-        return any(is_invertible(h) for h in lrel_hom_basis(a, b))
-    from .relations import rel_hom_basis
-
-    return any(h.is_invertible for h in rel_hom_basis(a, b))
+    if category in ("LinRel1", "PairRel"):
+        a, b = _as_rep(a), _as_rep(b)
+    return _iso_to_indecomposable(a, b) is not None
 
 
 def _category_of(obj) -> str:

@@ -63,8 +63,7 @@ from .fields import FieldSpec
 # wrapping matrices.rref also reaches this copied binding.
 from .matrices import Matrix, direct_sum, inverse, reduce_rows, rref  # noqa: F401
 from .quivers import QUIVERS, QuiverRep, is_indecomposable
-from .relations import PairRelObj, RelObj
-from . import functors
+from .relations import PairRelObj, RelObj, _as_rep
 
 CensusObject = QuiverRep | RelObj | PairRelObj
 
@@ -495,14 +494,10 @@ def _object_dims(obj: CensusObject) -> tuple:
 
 
 def _decide_indecomposable(obj: CensusObject, seed: int) -> bool:
-    if isinstance(obj, QuiverRep):
-        embedded = obj
-    else:
-        index = 6 if isinstance(obj, PairRelObj) else 5
-        embedded = functors.apply_functor(index, obj)
-    if embedded.total_dim == 0:
+    rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
+    if rep.total_dim == 0:
         return False
-    verdict = is_indecomposable(embedded, seed=seed)
+    verdict = is_indecomposable(rep, seed=seed)
     if not verdict.certified:
         raise IndecomposabilityUndecided(
             f"census cannot certify a class at dims {_object_dims(obj)}"

@@ -69,10 +69,13 @@ class NotIdempotent(FoursubError):
 
 
 class ImagePullbackError(FoursubError):
-    """A summand of an embedded relation failed the essential-image predicate.
+    """A summand of the S- or K-representation of a relation object has
+    source maps without full column rank, so it is not the representation
+    of any relation.
 
-    This always indicates an internal bug and is surfaced loudly rather than
-    ignored.
+    A summand of a representation with injective source maps has them
+    too, so this always indicates an internal bug and is surfaced loudly
+    rather than ignored.
     """
 
 

@@ -5,15 +5,16 @@ A relation object stores a canonical full-column-rank basis matrix of its
 span (first ``dim1`` coordinates in V1); object identity is span equality,
 which the canonical form makes decidable by structural equality.
 
-Decomposition is routed through the embeddings into four-subspace
-representations (one relation on a single space, or a pair of relations)
-rather than a native idempotent search; the native splitting construction
-is still exposed as :func:`rel_split_idempotent`.
+Hom spaces, isomorphism and decomposition run on quiver representations:
+a relation R is the diagram V1 <- R -> V2 of the two blocks of its basis
+(the classical view of additive relations, Mac Lane, PNAS 47, 1961), so a
+pair of relations is an S-representation and a relation on a single space
+a K-representation (:func:`_as_rep`).  The native splitting construction
+is exposed as :func:`rel_split_idempotent`.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Union
 
 from .errors import (
@@ -33,12 +34,12 @@ from .matrices import (
     hstack,
     is_invertible,
     kernel_basis,
-    kernel_vectors,
     random_matrix,
     rref,
     solve,
     vstack,
 )
+from .quivers import QUIVERS, QuiverRep, decompose, hom_basis, is_isomorphic
 
 
 class RelObj:
@@ -338,108 +339,55 @@ def rel_direct_sum(a, b):
     return RelObj(a.field, d1, d2, combined(a.basis, b.basis))
 
 
-# -- hom and isomorphism --------------------------------------------------------
+# -- relations as quiver representations ---------------------------------------
 
 
-@functools.lru_cache(maxsize=8192)
-def _annihilator_of_basis(basis: Matrix) -> Matrix:
-    return kernel_basis(basis.transpose()).transpose()
+def _as_rep(rho) -> QuiverRep:
+    """The relation object as a representation of S or K whose source maps
+    are the blocks of its bases.
 
-
-def _annihilator_rows(rel: RelObj) -> Matrix:
-    """Rows spanning the annihilator of the relation's span."""
-    return _annihilator_of_basis(rel.basis)
-
-
-def _hom_equations(f: FieldSpec, total: int, blocks, source_rel, target_rel) -> list:
-    """The equations Q (f1+f2) basis(R) = 0, one per (annihilator row,
-    source basis column) pair: int bitmasks over F_2 (bit = unknown),
-    lists of field values otherwise.
-
-    blocks: list of (offset, nrows, ncols, row_base, src_row_base) meaning an
-    unknown matrix X (nrows x ncols, row-major from offset) placed at rows
-    [row_base, row_base+nrows) of the stacked map and acting on source rows
-    [src_row_base, src_row_base+ncols) of the relation basis.  The unknown
-    X[i, k] then has coefficient Q[a, row_base+i] * basis[src_base+k, b];
-    blocks may share unknowns, whose coefficients add.
+    A pair (R1, R2) on V1, V2 becomes the S-representation with dims
+    (d1, d2, r1, r2) and arrows alpha = top(R1), beta = bottom(R1),
+    gamma = top(R2), delta = bottom(R2); a relation R on a single space V
+    (dim1 = dim2) becomes the K-representation with dims (d, r) and arrows
+    alpha = top(R), beta = bottom(R).  The source maps are jointly
+    injective, so the component at each R of a morphism is forced by the
+    components at the V's, and the maps carrying relations into relations
+    are exactly the V-components of morphisms: both maps are full and
+    faithful.
     """
-    q = _annihilator_rows(target_rel)
-    basis = source_rel.basis
-    z = f.zero()
-    rows = []
-    for qi in range(q.rows):
-        q_row = q.row(qi)
-        for cj in range(basis.cols):
-            b_col = basis.entries[cj :: basis.cols]
-            if f.p == 2:
-                row = 0
-                for offset, nrows, ncols, row_base, src_base in blocks:
-                    bits = sum(1 << k for k in range(ncols) if b_col[src_base + k])
-                    for i in range(nrows):
-                        if q_row[row_base + i]:
-                            row ^= bits << (offset + i * ncols)
-            else:
-                row = [z] * total
-                for offset, nrows, ncols, row_base, src_base in blocks:
-                    b_part = b_col[src_base : src_base + ncols]
-                    for i in range(nrows):
-                        qc = q_row[row_base + i]
-                        if qc:
-                            base = offset + i * ncols
-                            for k, rc in enumerate(b_part, base):
-                                if rc:
-                                    row[k] = f.add(row[k], f.mul(qc, rc))
-            rows.append(row)
-    return rows
-
-
-def rel_hom_basis(rho, sigma) -> list[RelMorphism]:
-    """Canonical basis of morphisms (f1, f2) from rho to sigma.
-
-    The conditions are Q (f1+f2) basis(R) = 0 for each stored relation,
-    where the rows of Q span the annihilator of the target relation; the
-    unknowns are the entries of f1 then f2, row-major, and
-    matrices.kernel_vectors reduces the equations.
-    """
-    if rho.field != sigma.field:
-        raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
     f = rho.field
-    pairs = _relation_pairs(rho, sigma)
-    n1 = sigma.dim1 * rho.dim1
-    blocks = [
-        (0, sigma.dim1, rho.dim1, 0, 0),
-        (n1, sigma.dim2, rho.dim2, sigma.dim1, rho.dim1),
-    ]
-    total = n1 + sigma.dim2 * rho.dim2
-    rows = []
-    for r_src, r_tgt in pairs:
-        rows.extend(_hom_equations(f, total, blocks, r_src, r_tgt))
-    return [
-        RelMorphism(
-            rho,
-            sigma,
-            Matrix(f, sigma.dim1, rho.dim1, vec[:n1]),
-            Matrix(f, sigma.dim2, rho.dim2, vec[n1:]),
+    if isinstance(rho, PairRelObj):
+        r1, r2 = rho.rel1, rho.rel2
+        return QuiverRep(
+            f,
+            QUIVERS["S"],
+            (rho.dim1, rho.dim2, r1.rel_dim, r2.rel_dim),
+            (r1.top, r1.bottom, r2.top, r2.bottom),
         )
-        for vec in kernel_vectors(f, rows, total)
-    ]
+    return QuiverRep(f, QUIVERS["K"], (rho.dim1, rho.rel_dim), (rho.top, rho.bottom))
 
 
-def lrel_hom_basis(rho: RelObj, sigma: RelObj) -> list[Matrix]:
-    """Morphisms in the one-space category: a single map f used on both
-    coordinates (requires dim1 = dim2 on both objects)."""
-    if rho.field != sigma.field:
-        raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
-    if rho.dim1 != rho.dim2 or sigma.dim1 != sigma.dim2:
-        raise DimensionMismatch("one-space morphisms need dim1 = dim2")
-    f = rho.field
-    blocks = [
-        (0, sigma.dim1, rho.dim1, 0, 0),
-        (0, sigma.dim2, rho.dim2, sigma.dim1, rho.dim1),
-    ]
-    n = sigma.dim1 * rho.dim1
-    rows = _hom_equations(f, n, blocks, rho, sigma)
-    return [Matrix(f, sigma.dim1, rho.dim1, vec) for vec in kernel_vectors(f, rows, n)]
+def _from_rep(rep: QuiverRep):
+    """The relation object whose _as_rep is rep.
+
+    Raises ImagePullbackError when the source maps of rep are not jointly
+    injective: no relation maps to such a representation, and the
+    canonical basis would silently drop the dependent columns.
+    """
+    f = rep.field
+    if rep.quiver is QUIVERS["S"]:
+        alpha, beta, gamma, delta = rep.mats
+        obj = PairRelObj(
+            f, rep.dims[0], rep.dims[1], vstack(alpha, beta), vstack(gamma, delta)
+        )
+    else:
+        obj = RelObj(f, rep.dims[0], rep.dims[0], vstack(*rep.mats))
+    if _as_rep(obj).dims != rep.dims:
+        raise ImagePullbackError(
+            f"summand at dims {rep.dims} has source maps that are not injective"
+        )
+    return obj
 
 
 def _as_pair(rho) -> PairRelObj:
@@ -449,35 +397,55 @@ def _as_pair(rho) -> PairRelObj:
     return PairRelObj._trusted(rho.field, rho.dim1, rho.dim2, rho.basis, rho.basis)
 
 
-def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
-    """Certified isomorphism test for relations and relation pairs:
-    quivers.is_isomorphic on the embeddings under functor 6, which is full
-    and faithful and so reflects isomorphism; a single relation R embeds as
-    the pair (R, R)."""
+def _check_pair_args(rho, sigma) -> None:
     if rho.field != sigma.field:
         raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
     if isinstance(rho, PairRelObj) != isinstance(sigma, PairRelObj):
         raise ShapeError("cannot mix single relations and relation pairs")
-    from .functors import apply_functor
-    from .quivers import is_isomorphic
 
-    return is_isomorphic(
-        apply_functor(6, _as_pair(rho)), apply_functor(6, _as_pair(sigma)), seed
-    )
+
+def _check_one_space_args(rho: RelObj, sigma: RelObj) -> None:
+    if rho.field != sigma.field:
+        raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
+    if rho.dim1 != rho.dim2 or sigma.dim1 != sigma.dim2:
+        raise DimensionMismatch("one-space morphisms need dim1 = dim2")
+
+
+# -- hom and isomorphism --------------------------------------------------------
+
+
+def rel_hom_basis(rho, sigma) -> list[RelMorphism]:
+    """Canonical basis of morphisms (f1, f2) from rho to sigma: the V1- and
+    V2-components of quivers.hom_basis on the S-representations of the
+    pairs (a single relation R counts as the pair (R, R))."""
+    _check_pair_args(rho, sigma)
+    homs = hom_basis(_as_rep(_as_pair(rho)), _as_rep(_as_pair(sigma)))
+    return [RelMorphism(rho, sigma, h.comps[0], h.comps[1]) for h in homs]
+
+
+def lrel_hom_basis(rho: RelObj, sigma: RelObj) -> list[Matrix]:
+    """Morphisms in the one-space category: a single map f used on both
+    coordinates (requires dim1 = dim2 on both objects); the V-components of
+    quivers.hom_basis on the K-representations."""
+    _check_one_space_args(rho, sigma)
+    return [h.comps[0] for h in hom_basis(_as_rep(rho), _as_rep(sigma))]
+
+
+def rel_is_isomorphic(rho, sigma, seed: int = 0) -> bool:
+    """Certified isomorphism test for relations and relation pairs:
+    quivers.is_isomorphic on the S-representations, which reflect
+    isomorphism because _as_rep is full and faithful; a single relation R
+    counts as the pair (R, R)."""
+    _check_pair_args(rho, sigma)
+    return is_isomorphic(_as_rep(_as_pair(rho)), _as_rep(_as_pair(sigma)), seed)
 
 
 def lrel_is_isomorphic(rho: RelObj, sigma: RelObj, seed: int = 0) -> bool:
     """Certified isomorphism test in the one-space category (a single
     invertible f used on both coordinates): quivers.is_isomorphic on the
-    embeddings under functor 5, which is full and faithful."""
-    if rho.field != sigma.field:
-        raise FieldMismatch(f"{rho.field.name} vs {sigma.field.name}")
-    if rho.dim1 != rho.dim2 or sigma.dim1 != sigma.dim2:
-        raise DimensionMismatch("one-space morphisms need dim1 = dim2")
-    from .functors import apply_functor
-    from .quivers import is_isomorphic
-
-    return is_isomorphic(apply_functor(5, rho), apply_functor(5, sigma), seed)
+    K-representations."""
+    _check_one_space_args(rho, sigma)
+    return is_isomorphic(_as_rep(rho), _as_rep(sigma), seed)
 
 
 # -- idempotent splitting -------------------------------------------------------
@@ -527,34 +495,18 @@ def rel_split_idempotent(rho, e: RelMorphism):
     return sigma, p, q
 
 
-# -- decomposition through the subspace embeddings ------------------------------
+# -- decomposition ----------------------------------------------------------------
 
 
 def rel_decompose(rho: Union[RelObj, PairRelObj], seed: int = 0):
-    """Krull-Schmidt decomposition, computed by embedding into
-    four-subspace representations, decomposing there, and pulling each
-    summand back through the image predicate."""
-    from . import functors
-    from .quivers import decompose as rep_decompose
-
-    if isinstance(rho, PairRelObj):
-        index = 6
-    else:
-        if rho.dim1 != rho.dim2:
-            raise DimensionMismatch(
-                "decomposition of a single relation needs dim1 = dim2"
-            )
-        index = 5
-    embedded = functors.apply_functor(index, rho)
-    summands = rep_decompose(embedded, seed=seed)
-    out = []
-    for rep, mult in summands:
-        result = functors.in_image(index, rep)
-        if not result.contained:
-            raise ImagePullbackError(
-                f"summand at dims {rep.dims} is outside the image: {result.reason}"
-            )
-        out.append((result.witness, mult))
+    """Krull-Schmidt decomposition: quivers.decompose on the S-representation
+    of a pair, or the K-representation of a relation on a single space,
+    with each summand read back as a relation object.  A summand of a
+    representation with injective source maps has them too; _from_rep
+    checks it."""
+    if not isinstance(rho, PairRelObj) and rho.dim1 != rho.dim2:
+        raise DimensionMismatch("decomposition of a single relation needs dim1 = dim2")
+    out = [(_from_rep(rep), mult) for rep, mult in decompose(_as_rep(rho), seed=seed)]
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
 

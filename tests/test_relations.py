@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from foursub.errors import DimensionMismatch, FieldMismatch, NotIdempotent, ShapeError
+from foursub import relations
+from foursub.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    ImagePullbackError,
+    NotIdempotent,
+    ShapeError,
+)
 from foursub.fields import GF, QQ
-from foursub.functors import hom_transport_check
+from foursub.functors import apply_functor, hom_transport_check
 from foursub.matrices import (
     Matrix,
     direct_sum,
@@ -13,6 +20,7 @@ from foursub.matrices import (
     random_invertible,
     rref,
 )
+from foursub.quivers import QUIVERS, QuiverRep, hom_basis
 from foursub.relations import (
     PairRelObj,
     RelMorphism,
@@ -22,6 +30,7 @@ from foursub.relations import (
     random_pairrel,
     random_rel,
     rel_compose,
+    rel_decompose,
     rel_direct_sum,
     rel_dual,
     rel_from_operator,
@@ -255,6 +264,118 @@ class TestHomPastInt64Products:
                 for h in lrel_hom_basis(x, y):
                     assert RelMorphism(x, y, h, h).is_valid()
                 assert hom_transport_check(5, x, y)[2]
+
+
+def _coordinate_rel(field, d1, d2, rng):
+    """A relation spanned by coordinate vectors: hom spaces between such
+    relations are large on every field."""
+    n = d1 + d2
+    cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+    entries = [field.one() if j == c else field.zero() for j in range(n) for c in cols]
+    return RelObj(field, d1, d2, Matrix(field, n, len(cols), entries))
+
+
+def _relation_cases(field, seed):
+    """Source and target pairs with dims 0..3, by kind: relation pairs,
+    relations between two spaces and relations on a single space.  Each
+    source meets an unrelated generic object, a coordinate object and a
+    random conjugate of itself."""
+    rng = random.Random(seed)
+    d1, d2, d = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    e1, e2 = rng.randint(0, 3), rng.randint(0, 3)
+
+    def rel(n1, n2):
+        return random_rel(field, n1, n2, rng.randint(0, n1 + n2), rng)
+
+    def pair(r1, r2):
+        return PairRelObj(field, r1.dim1, r1.dim2, r1.basis, r2.basis)
+
+    p, single, one = pair(rel(d1, d2), rel(d1, d2)), rel(d1, d2), rel(d, d)
+    g = direct_sum(random_invertible(field, d1, rng), random_invertible(field, d2, rng))
+    h = random_invertible(field, d, rng)
+    coord = _coordinate_rel(field, e1, e2, rng)
+    return {
+        "pair": [
+            (p, pair(rel(e1, e2), rel(e1, e2))),
+            (p, pair(coord, _coordinate_rel(field, e1, e2, rng))),
+            (p, PairRelObj(field, d1, d2, g @ p.basis1, g @ p.basis2)),
+        ],
+        "single": [
+            (single, rel(e1, e2)),
+            (single, coord),
+            (single, RelObj(field, d1, d2, g @ single.basis)),
+        ],
+        "one": [
+            (one, rel(e1, e1)),
+            (one, _coordinate_rel(field, e1, e1, rng)),
+            (one, RelObj(field, d, d, direct_sum(h, h) @ one.basis)),
+        ],
+    }
+
+
+FIVE_FIELDS = [F2, F3, GF(5), QQ, BIG]
+FIVE_IDS = ["F2", "F3", "F5", "Q", "BIG"]
+
+
+class TestQuiverRepresentations:
+    # a pair of relations is an S-representation, a relation on a single
+    # space a K-representation (relations._as_rep)
+
+    @pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+    def test_round_trip(self, field):
+        for seed in range(8):
+            cases = _relation_cases(field, seed)
+            for kind, quiver in (("pair", "S"), ("one", "K")):
+                for obj in {x for case in cases[kind] for x in case}:
+                    rep = relations._as_rep(obj)
+                    assert rep.quiver is QUIVERS[quiver]
+                    assert relations._from_rep(rep) == obj
+
+    @pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+    def test_functor_6_factors_through_s(self, field):
+        for seed in range(8):
+            cases = _relation_cases(field, seed)
+            for x, y in cases["pair"] + cases["single"]:
+                for obj in (relations._as_pair(x), relations._as_pair(y)):
+                    assert apply_functor(1, relations._as_rep(obj)) == apply_functor(6, obj)
+
+    @pytest.mark.parametrize("field", FIVE_FIELDS, ids=FIVE_IDS)
+    def test_hom_dims_match_the_embeddings(self, field):
+        nonzero = 0
+        for seed in range(8):
+            cases = _relation_cases(field, seed)
+            for x, y in cases["pair"] + cases["single"]:
+                homs = rel_hom_basis(x, y)
+                assert all(h.is_valid() for h in homs)
+                fx, fy = (apply_functor(6, relations._as_pair(z)) for z in (x, y))
+                assert len(homs) == len(hom_basis(fx, fy))
+                nonzero += bool(homs)
+            for x, y in cases["one"]:
+                homs = lrel_hom_basis(x, y)
+                assert all(RelMorphism(x, y, h, h).is_valid() for h in homs)
+                assert len(homs) == len(hom_basis(apply_functor(5, x), apply_functor(5, y)))
+                nonzero += bool(homs)
+        assert nonzero >= 24
+
+    @pytest.mark.parametrize("quiver, dims", [("S", (1, 1, 1, 0)), ("K", (1, 1))])
+    def test_non_injective_summand_is_refused(self, monkeypatch, quiver, dims):
+        # a summand whose source maps are zero on a nonzero R: the canonical
+        # basis would drop the column, so the pull-back must refuse it
+        Q = QUIVERS[quiver]
+        bad = QuiverRep(
+            F3,
+            Q,
+            dims,
+            [
+                Matrix.zeros(F3, dims[Q.vertex_index(a.target)], dims[Q.vertex_index(a.source)])
+                for a in Q.arrows
+            ],
+        )
+        monkeypatch.setattr(relations, "decompose", lambda rep, seed=0: [(bad, 1)])
+        rho = rel_full(F3, 1, 1)
+        obj = PairRelObj(F3, 1, 1, rho.basis, rho.basis) if quiver == "S" else rho
+        with pytest.raises(ImagePullbackError):
+            rel_decompose(obj)
 
 
 class TestDirectSum:
