@@ -5,6 +5,11 @@ classification of arbitrary objects against the tables.
 Families are built from a small kit of blocks: identity, the four
 shift-style inclusions/projections (zero row or column adjoined on one
 side), companion matrices of prime powers, and nilpotent Jordan blocks.
+The two relation tables are read off the quiver tables through the
+S- and K-representations of relations (``relations._as_rep``): a PairRel
+entry is the pair whose S-representation is the S entry of the same type,
+and a LinRel1 entry is the inverse of the relation whose K-representation
+is the K entry of the same type.
 The tables are complete up to isomorphism *and* symmetry of the ambient
 configuration: classification therefore runs in two stages — direct
 matching inside the category first, then matching of the embedded
@@ -16,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 from .errors import InvalidTag, ParseError, UnclassifiedSummand
 from .fields import FieldSpec, Poly, format_poly, monic_irreducibles, parse_poly
+from .functors import FUNCTOR_SOURCES, apply_functor
 from .matrices import (
     Matrix,
     companion,
@@ -33,7 +39,7 @@ from .matrices import (
     vstack,
 )
 from .quivers import QUIVERS, QuiverRep
-from .relations import PairRelObj, RelObj, _as_rep
+from .relations import PairRelObj, RelObj, _as_rep, _from_rep, rel_inverse
 
 CATEGORIES = ("F", "S", "D", "K", "C", "LinRel1", "PairRel")
 
@@ -204,9 +210,15 @@ def nhat(p: Poly, s: int, field: Optional[FieldSpec] = None) -> QuiverRep:
 
     Membership in the one-parameter family needs p outside {t, t-1}; the
     construction is defined regardless, so out-of-range p only warns.
+    A p that is not monic of degree >= 1, or s < 1, is an InvalidTag, as in
+    validate_tag.
     """
     if field is None:
         field = p.field
+    if not p.is_monic or p.degree < 1:
+        raise InvalidTag("p must be monic of degree >= 1")
+    if s < 1:
+        raise InvalidTag("s must be >= 1")
     t = Poly.t(field)
     t_minus_one = Poly.make(field, [field.neg(field.one()), field.one()])
     if p == t or p == t_minus_one:
@@ -505,71 +517,13 @@ def _build_c(tag: IndecompTag, field: FieldSpec):
 
 
 def _build_linrel1(tag: IndecompTag, field: FieldSpec):
-    n = tag.n
-    t = tag.type_name
-    if t == "Zero":
-        top = companion(tag.poly, tag.power, field)
-        n = top.rows
-        return RelObj(field, n, n, vstack(top, _ident(field, n)))
-    if t == "I":
-        return RelObj(field, n, n, vstack(_nilpotent(field, n), _ident(field, n)))
-    if t == "II":
-        return RelObj(field, n + 1, n + 1, vstack(i_up(n, field), i_down(n, field)))
-    # III
-    return RelObj(field, n, n, vstack(i_left(n, field), i_right(n, field)))
+    # the inverse of the relation whose K-representation is the K entry
+    return rel_inverse(_from_rep(_build_k(replace(tag, category="K"), field)))
 
 
 def _build_pairrel(tag: IndecompTag, field: FieldSpec):
-    n = tag.n
-    t = tag.type_name
-
-    def diag(m):
-        return vstack(_ident(field, m), _ident(field, m))
-
-    if t == "Zero":
-        top = companion(tag.poly, tag.power, field)
-        n = top.rows
-        return PairRelObj(field, n, n, diag(n), vstack(top, _ident(field, n)))
-    if t == "I":
-        return PairRelObj(
-            field, n, n, diag(n), vstack(_nilpotent(field, n), _ident(field, n))
-        )
-    if t == "II":
-        return PairRelObj(
-            field,
-            n + 1,
-            n,
-            vstack(_ident(field, n + 1), i_left(n, field)),
-            vstack(i_down(n, field), _ident(field, n)),
-        )
-    if t == "III":
-        return PairRelObj(
-            field,
-            n + 1,
-            n,
-            vstack(i_up(n, field), _ident(field, n)),
-            vstack(i_down(n, field), _ident(field, n)),
-        )
-    if t == "IIIStar":
-        return PairRelObj(
-            field,
-            n,
-            n + 1,
-            vstack(i_left(n, field), _ident(field, n + 1)),
-            vstack(i_right(n, field), _ident(field, n + 1)),
-        )
-    if t == "IV":
-        return PairRelObj(
-            field,
-            n + 1,
-            n + 1,
-            diag(n + 1),
-            vstack(i_up(n, field), i_down(n, field)),
-        )
-    # IVStar
-    return PairRelObj(
-        field, n, n, diag(n), vstack(i_left(n, field), i_right(n, field))
-    )
+    # the pair whose S-representation is the S entry
+    return _from_rep(_build_s(replace(tag, category="S"), field))
 
 
 _BUILDERS = {
@@ -789,7 +743,7 @@ def _all_tags_with_embedded_total(
 def _embedded_total(category: str, shape: tuple) -> int:
     if category == "F":
         return sum(shape)
-    if category == "S":
+    if category in ("S", "PairRel"):
         return 2 * (shape[0] + shape[1]) + shape[2] + shape[3]
     if category == "D":
         return 2 * shape[0] + 3 * shape[1] + shape[2]
@@ -797,9 +751,8 @@ def _embedded_total(category: str, shape: tuple) -> int:
         return 2 * shape[0] + 4 * shape[1]
     if category == "C":
         return 3 * (shape[0] + shape[1])
-    if category == "LinRel1":
-        return 5 * shape[0] + shape[1]
-    return 2 * (shape[0] + shape[1]) + shape[2] + shape[3]
+    # LinRel1
+    return 5 * shape[0] + shape[1]
 
 
 def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
@@ -814,11 +767,9 @@ def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
 
 
 def _embed(category: str, obj):
-    from .functors import apply_functor
-
-    index = {"S": 1, "D": 2, "K": 3, "C": 4, "LinRel1": 5, "PairRel": 6}
     if category == "F":
         return obj
+    index = {source: i for i, source in FUNCTOR_SOURCES.items()}
     return apply_functor(index[category], obj)
 
 

@@ -396,11 +396,11 @@ def _monic_polys(field: FieldSpec, degree: int):
 
 
 def is_irreducible(p: Poly, field: FieldSpec | None = None) -> bool:
-    """Whether a monic polynomial of degree >= 1 is irreducible.
+    """Whether a monic polynomial of degree >= 1 is irreducible, by sympy
+    (the factorization dependency).
 
-    Prime fields use trial division by all lower-degree monic polynomials.
-    Over the rationals only degrees <= 3 are supported (rational-root test);
-    higher degrees raise :class:`UnsupportedField`.
+    Over the rationals only degrees <= 3 are supported; higher degrees raise
+    :class:`UnsupportedField`.
     """
     if field is not None and field != p.field:
         raise FieldMismatch(f"{field.name} vs {p.field.name}")
@@ -410,47 +410,11 @@ def is_irreducible(p: Poly, field: FieldSpec | None = None) -> bool:
         raise ValueError("irreducibility requires degree >= 1")
     if p.degree == 1:
         return True
-    if p.field.is_prime_field:
-        for d in range(1, p.degree // 2 + 1):
-            for g in _monic_polys(p.field, d):
-                if (p % g).is_zero:
-                    return False
-        return True
-    # rationals
-    if p.degree > 3:
+    if not p.field.is_prime_field and p.degree > 3:
         raise UnsupportedField(
             "irreducibility over the rationals is supported only up to degree 3"
         )
-    return not _has_rational_root(p)
-
-
-def _has_rational_root(p: Poly) -> bool:
-    # Clear denominators to a primitive integer polynomial, then apply the
-    # rational-root test; exact for degrees 2 and 3 (a factor must be linear).
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // _gcd_int(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    if ints[0] == 0:
-        return True  # t divides p
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for sign in (1, -1):
-                if p.eval(Fraction(sign * num, den)) == 0:
-                    return True
-    return False
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
-    return out
+    return _to_sympy(p).is_irreducible
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from .matrices import (
     vstack,
 )
 from .quivers import QUIVERS, QuiverRep, RepMorphism
-from .relations import PairRelObj, RelMorphism, RelObj
+from .relations import PairRelObj, RelMorphism, RelObj, _as_rep
 
 FUNCTOR_SOURCES = {
     1: "S",
@@ -144,16 +144,8 @@ def apply_functor(i: int, obj) -> QuiverRep:
             vstack(Matrix.identity(f, d), Matrix.identity(f, d)),
             obj.basis,
         )
-    # i == 6
-    return fr(
-        obj.dim1 + obj.dim2,
-        obj.dim1,
-        obj.dim2,
-        obj.basis1.cols,
-        obj.basis2.cols,
-        obj.basis1,
-        obj.basis2,
-    )
+    # i == 6: the first embedding of the pair's S-representation
+    return apply_functor(1, _as_rep(obj))
 
 
 def _restrict_along(target_basis: Matrix, image: Matrix) -> Matrix:

@@ -22,7 +22,7 @@ from foursub.canon import (
 from foursub.errors import InvalidTag, ParseError, ReducibleModulus
 from foursub.fields import GF, QQ, Poly, monic_irreducibles, parse_poly
 from foursub.functors import apply_functor, in_image
-from foursub.matrices import Matrix, random_invertible
+from foursub.matrices import Matrix
 from foursub.quivers import (
     QUIVERS,
     QuiverRep,
@@ -33,8 +33,6 @@ from foursub.quivers import (
     random_conjugate,
 )
 from foursub.relations import (
-    PairRelObj,
-    RelObj,
     lrel_is_isomorphic,
     rel_inverse,
     rel_is_isomorphic,

@@ -1,7 +1,10 @@
+import hashlib
+import signal
+
 import pytest
 
 from foursub.cli import main
-from foursub.fields import GF
+from foursub.fields import GF, FieldSpec, Poly, format_poly, monic_irreducibles
 from foursub.matrices import Matrix
 from foursub.quivers import QUIVERS, QuiverRep
 from foursub.relations import RelObj, rel_compose, rel_dual, rel_inverse
@@ -9,6 +12,40 @@ from foursub.repio import format_object, parse_object
 
 F2 = GF(2)
 F3 = GF(3)
+
+
+# `foursub canon` texts of _relation_canon_tags(), concatenated
+RELATION_CANON_SHA256 = "d67cede862e25762d39afc9caf72fd9752f14f990ecfb5689bccbda278c4d323"
+
+
+def _relation_canon_tags():
+    """(tag, field) for every LinRel1 and PairRel tag with n <= 3 over F2,
+    F3 and F5, family tags with deg p <= 2 and s <= 2, and the family tags
+    of t+1, t-2 and t^2+1 over Q."""
+    min_n = {
+        "LinRel1": {"I": 1, "II": 0, "III": 1},
+        "PairRel": {"I": 1, "II": 0, "III": 0, "III*": 0, "IV": 0, "IV*": 1},
+    }
+    out = []
+    for field_name in ("F2", "F3", "F5"):
+        field = FieldSpec.from_name(field_name)
+        family = [
+            (format_poly(p), degree, s)
+            for degree in (1, 2)
+            for p in monic_irreducibles(field, degree)
+            if p != Poly.t(field)
+            for s in (1, 2)
+            if s * degree <= 3
+        ]
+        for category, types in min_n.items():
+            for p, degree, s in family:
+                out.append((f"{category}:0({s * degree},p={p},s={s})", field_name))
+            for type_text, low in types.items():
+                out += [(f"{category}:{type_text}({n})", field_name) for n in range(low, 4)]
+    for category in ("LinRel1", "PairRel"):
+        for p, degree, powers in (("t+1", 1, (1, 2)), ("t-2", 1, (1, 2)), ("t^2+1", 2, (1,))):
+            out += [(f"{category}:0({s * degree},p={p},s={s})", "Q") for s in powers]
+    return out
 
 
 def M(field, rows):
@@ -126,6 +163,36 @@ class TestCanonNhat:
         obj = parse_object(out)
         assert isinstance(obj, RelObj)
 
+    @pytest.mark.parametrize(
+        "tag, text",
+        [
+            (
+                "PairRel:IV*(1)",
+                "field: F2\nobject: pairrel\nspaces: 1 1\nrelation R1:\n1\n1\n"
+                "relation R2:\n1 0\n0 1\n",
+            ),
+            (
+                "LinRel1:0(2,p=t^2+t+1,s=1)",
+                "field: F2\nobject: linrel\nspaces: 2 2\nrelation R:\n"
+                "1 0\n0 1\n1 1\n1 0\n",
+            ),
+        ],
+    )
+    def test_canon_relation_text(self, capsys, tag, text):
+        assert run(capsys, "canon", tag, "--field", "F2") == (0, text, "")
+
+    def test_canon_relation_texts_pinned(self, capsys):
+        # SHA-256 of the concatenated texts of every tag _relation_canon_tags
+        # lists; a change of any relation table entry changes it
+        texts = []
+        for tag, field_name in _relation_canon_tags():
+            code, out, err = run(capsys, "canon", tag, "--field", field_name)
+            assert (code, err) == (0, ""), tag
+            texts.append(out)
+        assert len(texts) == 162
+        digest = hashlib.sha256("".join(texts).encode("ascii")).hexdigest()
+        assert digest == RELATION_CANON_SHA256
+
     def test_canon_bad_tag(self, capsys):
         code, _, err = run(capsys, "canon", "K:nope(1)")
         assert code == 2
@@ -141,6 +208,51 @@ class TestCanonNhat:
         code, _, err = run(capsys, "nhat", "t^2+1", "1", "--field", "F2")
         assert code == 1
         assert err.startswith("error: ReducibleModulus")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("t^2+t+1", "0"),
+            ("t^2+t+1", "-1"),
+            ("2t+1", "1", "--field", "F3"),
+            ("0", "1"),
+        ],
+    )
+    def test_nhat_invalid_input(self, capsys, argv):
+        code, out, err = run(capsys, "nhat", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidTag:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "tag, field_name, code, err",
+        [
+            (
+                "K:0(2,p=t^2-1099511627776,s=1)",
+                "Q",
+                1,
+                "error: ReducibleModulus: t^2-1099511627776 is reducible over Q\n",
+            ),
+            ("K:0(2,p=t^2+1,s=1)", "F1000003", 0, ""),
+        ],
+        ids=["Q", "F1000003"],
+    )
+    def test_canon_irreducibility_on_large_coefficients(
+        self, capsys, tag, field_name, code, err
+    ):
+        # a rational-root search up to |c| = 2^40, or trial division by every
+        # monic linear polynomial over F_1000003, would run far past the alarm
+        def timed_out(signum, frame):
+            raise TimeoutError("irreducibility test ran for 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            got = run(capsys, "canon", tag, "--field", field_name)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (got[0], got[2]) == (code, err)
 
 
 class TestFunctorCommands:

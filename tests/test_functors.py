@@ -7,7 +7,7 @@ from foursub.errors import (
     RestrictionNotContained,
     SourceMismatch,
 )
-from foursub.fields import GF, QQ
+from foursub.fields import GF
 from foursub.functors import (
     apply_functor,
     apply_functor_mor,
@@ -29,7 +29,6 @@ from foursub.quivers import (
     random_rep,
 )
 from foursub.relations import (
-    RelObj,
     lrel_hom_basis,
     lrel_is_isomorphic,
     random_pairrel,

@@ -33,10 +33,12 @@ def test_unused_imports_flags_and_exemptions(tmp_path):
 
 
 def test_package_has_no_unused_imports():
+    # the same directories as the CI step
     checker = _checker()
     found = [
-        (path.name, line, name)
-        for path in sorted((ROOT / "src" / "foursub").glob("*.py"))
+        (str(path.relative_to(ROOT)), line, name)
+        for root in ("src/foursub", "tests", "tools")
+        for path in sorted((ROOT / root).rglob("*.py"))
         for line, name in checker.unused_imports(path)
     ]
     assert found == []
