@@ -9,17 +9,16 @@ step, so results are exact.
 Row reduction has one elimination per kind of row:
 
 * over F_2, rows are int bitmasks, bit j for column j (reduce_bits);
-* over Q, over odd p from 2^20 up, and over odd p for systems of at most
-  400 entries, rows are Python lists of field values (reduce_rows);
-* over odd p below 2^20, larger systems are one int64 numpy array
-  (_reduce_array).
+* over every other field, rows are Python lists of field values
+  (reduce_rows), and each row is updated only at the pivot row's nonzero
+  columns, since hom systems are sparse.
 
 numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
-product or sum of products can overflow: that array elimination, products,
-minimal polynomials and polynomial evaluation.  Every other field takes
-the Python-integer or Fraction path.  rref picks the elimination for a
-Matrix; kernel_vectors returns the canonical null-space basis of a system
-handed in as such rows, without building a Matrix.
+product or sum of products can overflow: products, minimal polynomials
+and polynomial evaluation.  Every other field takes the Python-integer or
+Fraction path.  rref picks the elimination for a Matrix; kernel_vectors
+returns the canonical null-space basis of a system handed in as such
+rows, without building a Matrix.
 """
 
 from __future__ import annotations
@@ -253,23 +252,10 @@ def rref(m: Matrix) -> RrefResult:
         result = RrefResult(m, 0, ())
     elif p == 2:
         result = _rref_gf2(m)
-    elif _fits_rows(p, m.rows * m.cols):
-        result = _rref_rows(m)
     else:
-        result = _rref_prime(m)
+        result = _rref_rows(m)
     object.__setattr__(m, "_rref", result)
     return result
-
-
-_SMALL_RREF_LIMIT = 400
-
-
-def _fits_rows(p, entries: int) -> bool:
-    """Is a system over Q (p None) or odd p with this many entries reduced
-    as Python lists (reduce_rows) rather than on an int64 array?  Over Q and
-    for p >= _NP_PRIME_LIMIT int64 is not exact, and up to
-    _SMALL_RREF_LIMIT entries lists are faster."""
-    return p is None or p >= _NP_PRIME_LIMIT or entries <= _SMALL_RREF_LIMIT
 
 
 def _rref_gf2(m: Matrix) -> RrefResult:
@@ -327,9 +313,13 @@ def _rref_rows(m: Matrix) -> RrefResult:
 
 
 def reduce_rows(work: list, p: Optional[int]) -> tuple:
-    """Bring a list of equally long rows to reduced row echelon form in
-    place, and return its pivot columns.  The rows hold residues mod the
-    prime p, or Fractions when p is None (the rationals)."""
+    """Bring a list of equally long rows to reduced row echelon form, and
+    return its pivot columns.  The rows hold residues mod the prime p, or
+    Fractions when p is None (the rationals).
+
+    The rows are updated in place, so they must be distinct lists.  A row
+    is cleared only at the pivot row's nonzero columns: left of the pivot
+    column the pivot row is zero, and hom systems are sparse."""
     rows, cols = len(work), len(work[0]) if work else 0
     r = 0
     pivots = []
@@ -346,59 +336,23 @@ def reduce_rows(work: list, p: Optional[int]) -> tuple:
         work[r], work[sel] = work[sel], work[r]
         row_r = work[r]
         piv = row_r[c]
-        if piv != 1:
-            if p is None:
-                row_r = [x / piv for x in row_r]
-            else:
-                inv = pow(piv, p - 2, p)
-                row_r = [(inv * x) % p for x in row_r]
-            work[r] = row_r
+        if p is None:
+            nonzero = [(j, row_r[j] / piv) for j in range(c, cols) if row_r[j]]
+        else:
+            inv = pow(piv, p - 2, p)
+            nonzero = [(j, row_r[j] * inv % p) for j in range(c, cols) if row_r[j]]
+        for j, y in nonzero:
+            row_r[j] = y
         for i in range(rows):
-            if i != r:
-                factor = work[i][c]
-                if factor:
-                    row_i = work[i]
-                    if p is None:
-                        work[i] = [x - factor * y for x, y in zip(row_i, row_r)]
-                    else:
-                        work[i] = [
-                            (x - factor * y) % p for x, y in zip(row_i, row_r)
-                        ]
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
-
-
-def _rref_prime(m: Matrix) -> RrefResult:
-    a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
-    pivots = _reduce_array(a, m.field.p)
-    reduced = Matrix(m.field, m.rows, m.cols, a.ravel().tolist())
-    return RrefResult(reduced, len(pivots), pivots)
-
-
-def _reduce_array(a: np.ndarray, p: int) -> tuple:
-    """reduce_rows on a 2-d int64 array of residues mod the odd prime p, in
-    place, for systems too large for Python lists."""
-    rows, cols = a.shape
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        # rows r.. are zero left of column c, so only columns c.. change
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r, c:] = a[r, c:] * pow(piv, p - 2, p) % p
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+            row_i = work[i]
+            factor = row_i[c]
+            if factor and i != r:
+                if p is None:
+                    for j, y in nonzero:
+                        row_i[j] -= factor * y
+                else:
+                    for j, y in nonzero:
+                        row_i[j] = (row_i[j] - factor * y) % p
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -421,18 +375,13 @@ def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list]:
     """The basis kernel_basis gives, as lists, for the system over f whose
     rows are int bitmasks (bit j for column j) over F_2 and lists of field
     values otherwise.  The rows are reduced in place with the elimination
-    rref would choose for that field and size."""
-    p = f.p
-    if p == 2:
+    rref would choose for that field."""
+    if f.p == 2:
         pivots = reduce_bits(rows)
         reduced = [_BitRow(b) for b in rows[: len(pivots)]]
-    elif _fits_rows(p, len(rows) * cols):
-        pivots = reduce_rows(rows, p)
-        reduced = rows
     else:
-        a = np.array(rows, dtype=np.int64)
-        pivots = _reduce_array(a, p)
-        reduced = a[: len(pivots)].tolist()
+        pivots = reduce_rows(rows, f.p)
+        reduced = rows
     return _null_vectors(f, reduced, pivots, cols)
 
 

@@ -58,6 +58,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_within_10_s(capsys, *argv):
+    """run, failing with TimeoutError if the command takes 10 s."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"{argv} ran for 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(format_object(obj))
@@ -242,17 +257,16 @@ class TestCanonNhat:
     ):
         # a rational-root search up to |c| = 2^40, or trial division by every
         # monic linear polynomial over F_1000003, would run far past the alarm
-        def timed_out(signum, frame):
-            raise TimeoutError("irreducibility test ran for 10 s")
-
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(10)
-        try:
-            got = run(capsys, "canon", tag, "--field", field_name)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        got = run_within_10_s(capsys, "canon", tag, "--field", field_name)
         assert (got[0], got[2]) == (code, err)
+
+    @pytest.mark.parametrize("field_name", ["F10000000000000061", "F2305843009213693951"])
+    def test_canon_over_large_primes(self, capsys, field_name):
+        # trial division took 17 s to accept the first, and the second would
+        # take minutes
+        code, out, _ = run_within_10_s(capsys, "canon", "K:I(1)", "--field", field_name)
+        assert code == 0
+        assert out.startswith(f"field: {field_name}\n")
 
 
 class TestFunctorCommands:

@@ -10,6 +10,7 @@ from foursub.fields import (
     QQ,
     FieldSpec,
     Poly,
+    _is_prime,
     format_poly,
     is_irreducible,
     monic_irreducibles,
@@ -37,6 +38,37 @@ class TestFieldSpec:
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             GF(6)
+
+    def test_primality_matches_a_sieve(self):
+        limit = 200_000
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, int(limit**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+        assert [n for n in range(limit) if _is_prime(n)] == [
+            n for n in range(limit) if sieve[n]
+        ]
+
+    def test_primality_rejects_pseudoprimes(self):
+        # 561 and 41041 are Carmichael numbers; 3215031751 is a strong
+        # pseudoprime to the bases 2, 3, 5 and 7, 3825123056546413051 to
+        # every prime base up to 23
+        for n in (561, 41041, 3215031751, 3825123056546413051):
+            assert not _is_prime(n)
+            with pytest.raises(ValueError):
+                GF(n)
+        assert _is_prime(2**61 - 1) and _is_prime(10000000000000061)
+
+    def test_field_sizes_past_the_exact_bound_rejected(self):
+        # the Miller-Rabin bases 2..37 are proved exact only below 3.18e23
+        big = 318665857834031151167461
+        with pytest.raises(ValueError):
+            GF(big)
+        with pytest.raises(ParseError):
+            FieldSpec.from_name(f"F{big}")
+        with pytest.raises(ParseError):
+            FieldSpec.from_name("F" + "7" * 5000)
 
     def test_prime_arithmetic(self):
         assert F2.add(1, 1) == 0

@@ -37,7 +37,7 @@ def test_package_has_no_unused_imports():
     checker = _checker()
     found = [
         (str(path.relative_to(ROOT)), line, name)
-        for root in ("src/foursub", "tests", "tools")
+        for root in ("src/foursub", "tests", "tools", "perfbench")
         for path in sorted((ROOT / root).rglob("*.py"))
         for line, name in checker.unused_imports(path)
     ]
