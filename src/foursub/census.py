@@ -3,8 +3,8 @@
 For a fixed category and dimension vector, enumerate *every* object —
 all matrix assignments for a quiver shape, or all subspaces (pairs of
 subspaces) for the relation categories — split them into isomorphism
-classes, decide indecomposability of one representative per class, and
-match each indecomposable class against the canonical tag tables.
+classes, decide indecomposability of each class by counting (see below),
+and match each indecomposable class against the canonical tag tables.
 
 The isomorphism classes at a fixed dimension vector are the orbits of
 the group G = prod_v GL(d_v, q) acting by change of basis, so the census
@@ -34,6 +34,22 @@ on a permutation action:
 The enumeration is deterministic: matrix entries run row-major in the
 field's canonical element order, and subspace bases run over reduced
 echelon forms ordered by (rank, pivot set, free entries).
+
+The verdict is a certificate by counting.  The stabilizer of X is
+Aut X = End(X)^x (for relations through _as_rep, which is full and
+faithful), so |Aut X| = |G| / |orbit|, and with e = dim End X a nonzero X
+is indecomposable exactly when q^e - |Aut X| is a power of q:
+
+* X is indecomposable iff End X is local (Auslander-Reiten-Smalo, ch. I).
+  Let J = rad End X and A = End X / J = prod_i M_{n_i}(F_{q^{f_i}}).  The
+  non-units of End X number |J| * (|A| - |A^x|).
+* |A| - |A^x| = q^v (prod_j x_j - prod_j (x_j - 1)) with
+  v = sum_i f_i n_i (n_i - 1) / 2 and x_j running over the q^{f_i k}
+  (1 <= k <= n_i); the bracket is prime to q.  It is 1 only for a single
+  x_j >= 2, that is when A is a field and End X is local; with two or
+  more factors it is at least x_1 + x_2 - 1 >= 3.
+
+So one hom system (dim End X) and integer arithmetic decide each class.
 """
 
 from __future__ import annotations
@@ -51,7 +67,6 @@ from typing import Optional
 
 from .canon import IndecompTag, classify_indecomposable
 from .errors import (
-    IndecomposabilityUndecided,
     ShapeError,
     TooLarge,
     UnclassifiedSummand,
@@ -62,7 +77,7 @@ from .fields import FieldSpec
 # rref is unused here but stays bound: perfbench's tracer test checks that
 # wrapping matrices.rref also reaches this copied binding.
 from .matrices import Matrix, direct_sum, inverse, reduce_rows, rref  # noqa: F401
-from .quivers import QUIVERS, QuiverRep, is_indecomposable
+from .quivers import QUIVERS, QuiverRep, end_dim
 from .relations import PairRelObj, RelObj, _as_rep
 
 CensusObject = QuiverRep | RelObj | PairRelObj
@@ -83,7 +98,10 @@ _DIMS_LEN = {
 
 @dataclass(frozen=True)
 class ClassEntry:
-    """One isomorphism class: representative, orbit size, verdicts."""
+    """One isomorphism class: representative, orbit size, verdicts.
+
+    indecomposable is certified by counting: q^dim End - |G| / orbit_size
+    is a power of q (see the module docstring)."""
 
     representative: CensusObject
     orbit_size: int
@@ -493,21 +511,38 @@ def _object_dims(obj: CensusObject) -> tuple:
     return (obj.dim1, obj.dim2, obj.rel_dim)
 
 
-def _decide_indecomposable(obj: CensusObject, seed: int) -> bool:
+def _group_order(field: FieldSpec, dims) -> int:
+    """|G| = prod_v |GL(d_v, q)|, the group whose orbits are the classes: one
+    factor per vertex of a quiver, GL(d) for LinRel1 (dims (d,), acting as
+    g + g), GL(d1) x GL(d2) for PairRel."""
+    q = field.p
+    return prod(q**d - q**i for d in dims for i in range(d))
+
+
+def _decide_indecomposable(obj: CensusObject, orbit_size: int, group_order: int) -> bool:
+    """Whether the class of obj is indecomposable, from dim End obj and
+    |Aut obj| = group_order / orbit_size (certificate in the module
+    docstring).  Raises ShapeError when the counts are impossible, which
+    means the orbit walk or the hom system is wrong."""
     rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
     if rep.total_dim == 0:
         return False
-    verdict = is_indecomposable(rep, seed=seed)
-    if not verdict.certified:
-        raise IndecomposabilityUndecided(
-            f"census cannot certify a class at dims {_object_dims(obj)}"
+    q = rep.field.p
+    automorphisms, rest = divmod(group_order, orbit_size)
+    non_units = q ** end_dim(rep) - automorphisms
+    if rest or non_units < 1:
+        raise ShapeError(
+            f"orbit of size {orbit_size} at dims {_object_dims(obj)} contradicts "
+            f"|G| = {group_order} and dim End"
         )
-    return verdict.indecomposable
+    while non_units % q == 0:
+        non_units //= q
+    return non_units == 1  # non_units was a power of q
 
 
-def _verdicts(obj: CensusObject, seed: int) -> tuple:
+def _verdicts(obj: CensusObject, orbit_size: int, group_order: int) -> tuple:
     """(indecomposable, tag) of one class representative."""
-    indec = _decide_indecomposable(obj, seed)
+    indec = _decide_indecomposable(obj, orbit_size, group_order)
     tag = None
     if indec:
         try:
@@ -523,29 +558,29 @@ def census(
     dims,
     *,
     workers: int = 1,
-    seed: int = 0,
 ) -> CensusReport:
     """Enumerate every object at the given dimension vector, split the
     objects into isomorphism classes by walking the orbits of
-    prod_v GL(d_v, q) through per-factor permutation tables, and report
+    G = prod_v GL(d_v, q) through per-factor permutation tables, and report
     each class's first-seen representative, orbit size, indecomposability
     and canonical-tag match (tag None on an indecomposable class means
-    UNMATCHED; decomposable classes carry no tag).  With workers > 1 the
-    representatives are decided and classified in that many processes; the
-    report does not depend on the count."""
+    UNMATCHED; decomposable classes carry no tag).  Indecomposability is
+    certified by counting: q^dim End - |G| / orbit size is a power of q.
+    With workers > 1 the representatives are decided and classified in that
+    many processes; the report does not depend on the count."""
     dims = _check_inputs(category, field, dims)
     total = enumeration_size(category, field, dims)
     space = _census_space(category, field, dims)
     orbits = [(space.build(index), size) for index, size in _orbits(space)]
 
-    reps = [obj for obj, _ in orbits]
-    decide = functools.partial(_verdicts, seed=seed)
+    reps, sizes = zip(*orbits)  # a cell has at least one object
+    decide = functools.partial(_verdicts, group_order=_group_order(field, dims))
     if workers > 1 and len(reps) > 1:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            verdicts = list(pool.map(decide, reps))
+            verdicts = list(pool.map(decide, reps, sizes))
     else:
-        verdicts = [decide(obj) for obj in reps]
+        verdicts = list(map(decide, reps, sizes))
     entries = [
         ClassEntry(obj, size, indec, tag)
         for (obj, size), (indec, tag) in zip(orbits, verdicts)
@@ -565,7 +600,6 @@ def census_sweep(
     max_total_dim: int,
     *,
     workers: int = 1,
-    seed: int = 0,
 ) -> list:
     """Run census over every dimension vector with total at most
     max_total_dim (componentwise within the cap).  Raises UnmatchedClass
@@ -586,7 +620,7 @@ def census_sweep(
     reports = []
     for dims in vectors:
         try:
-            report = census(category, field, dims, workers=workers, seed=seed)
+            report = census(category, field, dims, workers=workers)
         except TooLarge as exc:
             warnings.warn(
                 f"census sweep skipped {category} dims {dims}: {exc}",

@@ -169,7 +169,6 @@ def _cmd_census(args) -> str:
         field,
         tuple(args.dims),
         workers=args.workers,
-        seed=args.seed,
     )
     body = []
     for idx, entry in enumerate(report.classes):
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("dims", type=int, nargs="+")
     _add_field(p)
-    _add_seed(p)
     _add_format(p)
     p.add_argument(
         "--workers",

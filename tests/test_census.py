@@ -1,6 +1,7 @@
 """Census tests: frozen class counts from independent enumeration, orbit
 accounting, agreement of the orbit walk with pairwise isomorphism tests,
-the generating sets of GL(d, q), the permutation tables against the
+the counting verdict against hand-checked cells and the indecomposability
+ladder, the generating sets of GL(d, q), the permutation tables against the
 Matrix-level action, worker equivalence, guards, and the release of an
 earlier import."""
 
@@ -18,9 +19,11 @@ from foursub.canon import format_tag
 from foursub.census import (
     COMPONENT_CAP,
     _census_space,
+    _decide_indecomposable,
     _echelon_bases,
     _echelon_shapes,
     _gl_generators,
+    _group_order,
     census,
     census_sweep,
     enumeration_size,
@@ -28,10 +31,11 @@ from foursub.census import (
 from foursub.errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from foursub.fields import GF, QQ
 from foursub.matrices import Matrix, column_echelon, direct_sum, inverse
-from foursub.quivers import QUIVERS, QuiverRep, is_isomorphic
+from foursub.quivers import QUIVERS, QuiverRep, end_dim, is_indecomposable, is_isomorphic
 from foursub.relations import (
     PairRelObj,
     RelObj,
+    _as_rep,
     lrel_is_isomorphic,
     rel_is_isomorphic,
 )
@@ -192,10 +196,101 @@ def test_orbit_sizes_divide_group_order(category, dims, q):
 
 
 def test_worker_count_does_not_change_report():
-    for category, dims in [("K", (2, 1)), ("LinRel1", (2,))]:
-        one = census(category, GF(2), dims)
-        two = census(category, GF(2), dims, workers=2)
+    for category, q, dims in [("K", 2, (2, 1)), ("LinRel1", 2, (2,)), ("PairRel", 3, (1, 1))]:
+        one = census(category, GF(q), dims)
+        two = census(category, GF(q), dims, workers=2)
         assert signature(one) == signature(two)
+
+
+@pytest.mark.parametrize(
+    "category,dims,q",
+    [
+        ("K", (0, 0), 2),
+        ("K", (2, 2), 3),
+        ("D", (1, 2, 1), 5),
+        ("F", (2, 1, 1, 1, 1), 2),
+        ("LinRel1", (3,), 3),
+        ("PairRel", (1, 2), 2),
+    ],
+)
+def test_group_order_matches_gl_orders(category, dims, q):
+    assert _group_order(GF(q), dims) == group_order(category, dims, q)
+
+
+# -- the counting verdict ----------------------------------------------------------
+
+
+def kronecker(q, dims, alpha, beta):
+    field = GF(q)
+    t, s = dims
+    return QuiverRep(
+        field, QUIVERS["K"], dims, [Matrix(field, t, s, m) for m in (alpha, beta)]
+    )
+
+
+def hand_checked_cells(q):
+    """(representative, dim End, orbit size, indecomposable) with
+    q^dim End - |Aut| worked out by hand."""
+    gl2 = gl_order(2, q)
+    return [
+        # S + S, S the simple at the first vertex: End = M_2(F_q), and
+        # q^4 - |GL_2(q)| = q (q^2 + q - 1)
+        (kronecker(q, (2, 0), [], []), 4, 1, False),
+        # alpha = I, beta the nilpotent Jordan block: End = F_q[x]/x^2, and
+        # q^2 - (q^2 - q) = q
+        (kronecker(q, (2, 2), [1, 0, 0, 1], [0, 1, 0, 0]), 2, gl2 * gl2 // (q * q - q), True),
+        # the two simples: End = F_q x F_q, and q^2 - (q - 1)^2 = 2q - 1
+        (kronecker(q, (1, 1), [0], [0]), 2, 1, False),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_counting_verdict_on_hand_checked_cells(q):
+    for rep, e, orbit, indecomposable in hand_checked_cells(q):
+        assert end_dim(rep) == e
+        assert _decide_indecomposable(rep, orbit, _group_order(GF(q), rep.dims)) is indecomposable
+        assert is_indecomposable(rep).indecomposable is indecomposable
+        if q < 5:  # the census of K (2, 2) over F_5 walks 5^8 objects
+            report = census("K", GF(q), rep.dims)
+            (entry,) = [c for c in report.classes if is_isomorphic(c.representative, rep)]
+            assert (entry.orbit_size, entry.indecomposable) == (orbit, indecomposable)
+
+
+def test_forged_orbit_size_raises():
+    rep, _, orbit, _ = hand_checked_cells(3)[1]
+    order = _group_order(GF(3), rep.dims)
+    assert _decide_indecomposable(rep, orbit, order)
+    with pytest.raises(ShapeError):
+        _decide_indecomposable(rep, orbit + 1, order)  # does not divide |G|
+    with pytest.raises(ShapeError):
+        _decide_indecomposable(rep, 1, order)  # |Aut| above q^dim End
+
+
+# F2: K, C, D, S to total 3, F to 4, LinRel1 and PairRel to 2.  F3 and F5:
+# every cell at total <= 3 except LinRel1 (3), whose census alone takes
+# seconds.
+DIFFERENTIAL_SWEEPS = (
+    [(2, c, 3) for c in "KCDS"]
+    + [(2, "F", 4), (2, "LinRel1", 2), (2, "PairRel", 2)]
+    + [(q, c, 3) for q in (3, 5) for c in ("K", "C", "D", "S", "F", "PairRel")]
+    + [(q, "LinRel1", 2) for q in (3, 5)]
+)
+
+
+@pytest.mark.parametrize("q,category,bound", DIFFERENTIAL_SWEEPS)
+def test_counting_verdict_matches_the_ladder(q, category, bound):
+    """On every nonzero class of the sweep, the census verdict equals the
+    certified verdict of is_indecomposable on the representative."""
+    for report in census_sweep(category, GF(q), bound):
+        for entry in report.classes:
+            obj = entry.representative
+            rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
+            if rep.total_dim == 0:
+                assert not entry.indecomposable
+                continue
+            verdict = is_indecomposable(rep)
+            assert verdict.certified, (report.dims, obj)
+            assert verdict.indecomposable == entry.indecomposable, (report.dims, obj)
 
 
 def test_enumeration_sizes():

@@ -402,6 +402,12 @@ class TestCensusCommand:
         b = run(capsys, "census", "D", "1", "1", "1", "--field", "F3")
         assert a == b
 
+    def test_census_takes_no_seed(self, capsys):
+        # nothing in the census is random, so it has no --seed
+        code, _, err = run(capsys, "census", "K", "1", "1", "--seed", "3")
+        assert code == 2
+        assert "--seed" in err
+
     def test_census_guard(self, capsys):
         code, _, err = run(capsys, "census", "K", "5", "5")
         assert code == 1
