@@ -22,13 +22,20 @@ on a permutation action:
   does each subspace.  So every generator of G (a small generating set,
   see _gl_generators) is precomputed once per cell as one permutation
   table per factor it moves; table[i] is the number of the image of
-  factor value i.
-* The walk then runs over integers only: it scans the numbers in order
-  and walks the orbit of each one not visited yet breadth-first, splitting
-  a number into its factors, looking each factor up in its table and
-  recombining.  Visited numbers are marked in a bitmap.
-* The first number of each orbit is its class representative; only then
-  is it unranked into an object, so classes come out in order of first
+  factor value i.  Each table is one numpy computation over all factor
+  values: for arrow matrices moved by M -> left M right, one product with
+  kron(left, right^T); for subspaces, one product and one batched row
+  reduction (_batched_rref) over the stacked echelon rows of each rank.
+* A generator's permutation of all numbers gathers each factor through
+  its table (_MixedRadix.images).  The orbits are the connected components
+  of these permutations, found by label propagation with pointer jumping
+  (Shiloach-Vishkin, J. Algorithms 3, 1982): every number starts labelled
+  with itself, each round lowers both ends of every permutation edge to
+  the smaller label and then sets label = label[label], until a round
+  changes nothing.  At that fixpoint each label is the least number of its
+  orbit (see _orbits), the number a scan in order meets first.
+* That least number is the class representative; only then is it
+  unranked into an object, so classes come out in order of first
   appearance.
 
 The enumeration is deterministic: matrix entries run row-major in the
@@ -59,11 +66,12 @@ import functools
 import itertools
 import multiprocessing
 import warnings
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 from typing import Optional
+
+import numpy as np
 
 from .canon import IndecompTag, classify_indecomposable
 from .errors import (
@@ -76,7 +84,7 @@ from .errors import (
 from .fields import FieldSpec
 # rref is unused here but stays bound: perfbench's tracer test checks that
 # wrapping matrices.rref also reaches this copied binding.
-from .matrices import Matrix, direct_sum, inverse, reduce_rows, rref  # noqa: F401
+from .matrices import Matrix, direct_sum, inverse, rref  # noqa: F401
 from .quivers import QUIVERS, QuiverRep, end_dim
 from .relations import PairRelObj, RelObj, _as_rep
 
@@ -84,6 +92,10 @@ CensusObject = QuiverRep | RelObj | PairRelObj
 
 ENUMERATION_GUARD = 10**8
 COMPONENT_CAP = 4
+# Subspaces mapped and reduced at once by _RelationSpace._tables.  Slices
+# keep every temporary near 1 MB; whole ranks of LinRel1 (4) over F2
+# (200,787 subspaces) left the heap about 30 MB larger.
+_SLICE = 1 << 14
 
 _DIMS_LEN = {
     "F": 5,
@@ -246,14 +258,6 @@ def _echelon_bases(field: FieldSpec, n: int, shape):
         yield _basis(field, n, _echelon_rows(n, pivots, free, values))
 
 
-def _base_q(digits, q: int) -> int:
-    """The number with the given base-q digits, most significant first."""
-    number = 0
-    for x in digits:
-        number = number * q + x
-    return number
-
-
 def _digits_base_q(number: int, q: int, length: int) -> list:
     """The base-q digits of number, most significant first, padded to length."""
     digits = [0] * length
@@ -262,9 +266,18 @@ def _digits_base_q(number: int, q: int, length: int) -> list:
     return digits
 
 
-def _typecode(count: int) -> str:
-    """The smallest unsigned array typecode that holds range(count)."""
-    return next(code for code in "BHIQ" if count <= 256 ** array(code).itemsize)
+def _uint_dtype(bound: int):
+    """The smallest unsigned numpy integer dtype that holds range(bound + 1),
+    or object (Python ints) past 64 bits."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
+def _powers(q: int, length: int) -> np.ndarray:
+    """The weights of length base-q digits, most significant first."""
+    return np.array([q**k for k in range(length - 1, -1, -1)], dtype=np.int64)
 
 
 # -- the group action -------------------------------------------------------------
@@ -311,46 +324,43 @@ class _MixedRadix:
     An object is a tuple of factors, factor k running over range(sizes[k]),
     and its number is the mixed-radix integer with those digits, the first
     factor most significant.  G acts factor by factor, so each generator of
-    G is a move: one (weight, size, table) triple per factor it moves, where
-    table[i] is the image of factor value i.  Subclasses fill in the tables
-    and build an object from its number."""
+    G is a move: one (k, table) pair per factor k it moves, where table[i]
+    is the image of factor value i.  Subclasses fill in the tables and
+    build an object from its number."""
 
     def __init__(self, sizes, moves):
         self.sizes = list(sizes)
         self.weights = [prod(self.sizes[k + 1 :]) for k in range(len(self.sizes))]
         self.total = prod(self.sizes)
-        self.moves = [
-            [(self.weights[k], self.sizes[k], table) for k, table in move]
-            for move in moves
-        ]
+        self.moves = moves
 
     def digits(self, index: int) -> list:
         """The factor values of object index."""
         return [index // w % s for w, s in zip(self.weights, self.sizes)]
 
-    def image(self, move, index: int) -> int:
-        """The number of the image of object index under a move."""
-        image = index
-        for weight, size, table in move:
-            digit = index // weight % size
-            image += (table[digit] - digit) * weight
-        return image
+    def images(self, move) -> np.ndarray:
+        """The permutation of range(total) a move induces: entry i is the
+        number of the image of object i.  The numbers laid out as an array
+        of shape sizes have factor k on axis k, so the move gathers each
+        axis it moves through that factor's table."""
+        perm = np.arange(self.total, dtype=_uint_dtype(self.total)).reshape(self.sizes)
+        for k, table in move:
+            perm = perm.take(table, axis=k)
+        return perm.ravel()
 
 
-def _matrix_table(field: FieldSpec, t: int, s: int, left, right) -> array:
-    """The permutation M -> left M right of the t x s matrices, each numbered
-    by its entries read row-major as one base-q number; a side that is None
-    is not multiplied."""
-    q = field.p
-    table = array(_typecode(q ** (t * s)))
-    for values in itertools.product(field.elements(), repeat=t * s):
-        m = Matrix(field, t, s, values)
-        if left is not None:
-            m = left @ m
-        if right is not None:
-            m = m @ right
-        table.append(_base_q(m.entries, q))
-    return table
+def _matrix_table(q: int, t: int, s: int, left, right) -> np.ndarray:
+    """The permutation M -> left M right of the t x s matrices over F_q, each
+    numbered by its entries read row-major as one base-q number; a side
+    that is None is not multiplied.  Row-major, the entries of left M right
+    are kron(left, right^T) times those of M.  The enumeration guard keeps
+    q^(t s) <= 10^8, so sums of t s products below q^2 fit in int64."""
+    left = np.eye(t, dtype=np.int64) if left is None else np.array(left.to_lists())
+    right = np.eye(s, dtype=np.int64) if right is None else np.array(right.to_lists())
+    action = np.kron(left, right.T) % q
+    powers = _powers(q, t * s)
+    digits = np.arange(q ** (t * s), dtype=np.int64)[:, None] // powers % q
+    return digits @ action.T % q @ powers
 
 
 class _QuiverSpace(_MixedRadix):
@@ -372,7 +382,7 @@ class _QuiverSpace(_MixedRadix):
                     if v in (a.target, a.source) and t * s:
                         left = g if a.target == v else None
                         right = g_inv if a.source == v else None
-                        move.append((k, _matrix_table(field, t, s, left, right)))
+                        move.append((k, _matrix_table(field.p, t, s, left, right)))
                 moves.append(move)
         super().__init__([field.p ** (t * s) for t, s in self.shapes], moves)
 
@@ -384,17 +394,96 @@ class _QuiverSpace(_MixedRadix):
         return QuiverRep(self.field, self.quiver, self.dims, mats)
 
 
-def _row_action(g: Matrix) -> tuple:
-    """rows -> rows g^T in sparse form: coordinate j of an image row is
-    row[gather[j]], except at the (j, terms) of fixes, where it is the sum
-    of c * row[k] over the (k, c) in terms."""
-    gather, fixes = [], []
-    for j in range(g.rows):
-        terms = [(k, c) for k, c in enumerate(g.row(j)) if c]
-        gather.append(terms[0][0])
-        if terms[1:] or terms[0][1] != 1:
-            fixes.append((j, terms))
-    return gather, fixes
+def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x^(q-2) mod the prime q, entry by entry: the inverses of the nonzero
+    entries (Fermat), by square and multiply."""
+    inverse, power, e = np.ones_like(x), x, q - 2
+    while e:
+        if e & 1:
+            inverse = inverse * power % q
+        power = power * power % q
+        e >>= 1
+    return inverse
+
+
+def _batched_rref(m: np.ndarray, q: int) -> tuple:
+    """(reduced, mask): the reduced row echelon forms of a stack of matrices,
+    and mask[j, b] True when column j is a pivot column of matrix b.
+    m[i, j, b] is entry (i, j) of matrix b, a residue mod the prime q in an
+    unsigned dtype that holds 2 q^2; the matrix index runs last, so each
+    step is one long vector operation.  m is the work space.
+
+    Column by column, every matrix takes as its pivot row the first of its
+    unused rows that is nonzero in the column, scales it to a leading 1 and
+    adds multiples of q minus it to its other rows, in place, one row index
+    at a time.  Unused rows are zero left of the column, so only the columns
+    from it on change.  The k-th pivot row becomes row k of the reduced
+    form and the rows left over are zero; the reduced form is unique, so it
+    is the one matrices.reduce_rows gives."""
+    r, n, count = m.shape
+    mask = np.zeros((n, count), dtype=bool)
+    place = np.full((r, count), r, dtype=np.uint8)  # row i's row in the result
+    rank = np.zeros(count, dtype=np.uint8)
+    for c in range(n if r else 0):
+        sel = np.full(count, r, dtype=np.uint8)  # the pivot row, r if none
+        for i in reversed(range(r)):
+            sel = np.where((m[i, c] != 0) & (place[i] == r), i, sel)
+        found = mask[c] = sel < r
+        pivot = _pick(m[:, c:], sel)
+        scale = _inverse_mod(np.where(found, pivot[0], 1), q)
+        minus = q - pivot * scale % q
+        for i in range(r):
+            row, is_pivot = m[i, c:], sel == i
+            factor = np.where(found & ~is_pivot, row[0], 0)
+            row *= np.where(is_pivot, scale, 1)
+            row += factor * minus
+            row %= q
+            place[i] = np.where(is_pivot, rank, place[i])
+        rank += found
+    reduced = np.zeros_like(m)
+    for k, i in itertools.product(range(r), range(r)):
+        reduced[k] += np.where(place[i] == k, m[i], 0)
+    return reduced, mask
+
+
+def _pick(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row rows[b] of every matrix b of the stack m (row 0 where rows[b]
+    is out of range)."""
+    out = m[0]
+    for i in range(1, len(m)):
+        out = np.where(rows == i, m[i], out)
+    return out
+
+
+def _echelon_stack(n: int, pivots, free, q: int, dtype) -> np.ndarray:
+    """The rows of every reduced echelon form with the given pivot columns,
+    in _echelon_bases order, as one stack: entry [i, j, b] is entry (i, j)
+    of form b."""
+    stack = np.zeros((len(pivots), n, q ** len(free)), dtype)
+    stack[range(len(pivots)), list(pivots)] = 1
+    numbers = np.arange(stack.shape[2], dtype=np.int64)
+    for (i, j), power in zip(free, _powers(q, len(free))):
+        stack[i, j] = numbers // power % q
+    return stack
+
+
+def _image_numbers(g: np.ndarray, stack: np.ndarray, q: int, start_of) -> np.ndarray:
+    """The numbers of the subspaces G U, for the echelon rows of the U
+    stacked as _echelon_stack stacks them.  The number of a subspace is the
+    first number of its pivot shape (start_of, indexed by the bitmask of the
+    pivot columns) plus its free entries read in base q: in reduced echelon
+    form the free slots of row i are the non-pivot columns right of its
+    pivot, that is, right of the (i+1)-th pivot column."""
+    image = np.einsum("jk,ikb->ijb", g, stack)  # rows -> rows G^T
+    image %= q
+    image, mask = _batched_rref(image, q)
+    r, n, count = image.shape
+    seen = np.cumsum(mask, axis=0, dtype=np.uint8)  # pivots in columns 0..j
+    number = np.zeros(count, dtype=np.int64)
+    for i, j in itertools.product(range(r), range(n)):
+        free = ~mask[j] & (seen[j] > i)
+        number = np.where(free, number * q + image[i, j], number)
+    return start_of[(1 << np.arange(n)) @ mask] + number
 
 
 class _RelationSpace(_MixedRadix):
@@ -414,38 +503,38 @@ class _RelationSpace(_MixedRadix):
             self.shapes.append((offset, pivots, free))
             offset += q ** len(free)
         self.offsets = [start for start, _, _ in self.shapes]
-        tables = self._tables(q, offset, group)
+        tables = self._tables(q, group)
         super().__init__(
             [offset] * arity, [[(k, table) for k in range(arity)] for table in tables]
         )
 
-    def _tables(self, q: int, count: int, group) -> list:
+    def _tables(self, q: int, group) -> list:
         """One table per G in group: the number of G U for every subspace U.
 
-        Each subspace's echelon rows are generated once, as lists of
-        residues, mapped by every G and reduced by reduce_rows."""
-        actions = [_row_action(g) for g in group]
-        shape_of = {pivots: (start, free) for start, pivots, free in self.shapes}
-        tables = [array(_typecode(count)) for _ in group]
-        for _, pivots, free in self.shapes:
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = _echelon_rows(self.n, pivots, free, values)
-                for table, (gather, fixes) in zip(tables, actions):
-                    image = []
-                    for row in rows:
-                        mapped = [row[k] for k in gather]
-                        for j, terms in fixes:
-                            x = 0
-                            for k, c in terms:
-                                x += c * row[k]
-                            mapped[j] = x % q
-                        image.append(mapped)
-                    start, slots = shape_of[reduce_rows(image, q)]
-                    number = 0
-                    for i, j in slots:
-                        number = number * q + image[i][j]
-                    table.append(start + number)
-        return tables
+        The echelon rows of all subspaces of one rank are stacked (see
+        _echelon_stack) and numbered by _image_numbers, _SLICE subspaces at
+        a time."""
+        n = self.n
+        dtype = _uint_dtype(max(n, 2) * q**2)
+        start_of = np.zeros(2**n, dtype=np.int64)  # pivot bitmask -> first number
+        for start, pivots, _ in self.shapes:
+            start_of[sum(1 << c for c in pivots)] = start
+        group = [np.array(g.to_lists(), dtype) for g in group]
+        parts = [[] for _ in group]
+        for r in range(n + 1):
+            stack = np.concatenate(
+                [
+                    _echelon_stack(n, pivots, free, q, dtype)
+                    for _, pivots, free in self.shapes
+                    if len(pivots) == r
+                ],
+                axis=2,
+            )
+            for lo in range(0, stack.shape[2], _SLICE):
+                for part, g in zip(parts, group):
+                    part.append(_image_numbers(g, stack[:, :, lo : lo + _SLICE], q, start_of))
+        # object images (q^2 past 64 bits) give object numbers
+        return [np.concatenate(part).astype(np.int64, copy=False) for part in parts]
 
     def build(self, index: int):
         q, bases = self.field.p, []
@@ -479,25 +568,34 @@ def _census_space(category: str, field: FieldSpec, dims):
     )
 
 
-def _orbits(space):
-    """Yield (number of the representative, orbit size) for every orbit, in
-    order of the representatives' numbers."""
-    total = space.total
-    visited = bytearray((total + 7) >> 3)
-    code = _typecode(total)
-    for start in range(total):
-        if visited[start >> 3] >> (start & 7) & 1:
-            continue
-        visited[start >> 3] |= 1 << (start & 7)
-        orbit = array(code, [start])
-        for index in orbit:  # breadth-first: the loop reaches appended images
-            for move in space.moves:
-                image = space.image(move, index)
-                byte, bit = image >> 3, 1 << (image & 7)
-                if not visited[byte] & bit:
-                    visited[byte] |= bit
-                    orbit.append(image)
-        yield start, len(orbit)
+def _orbits(space) -> list:
+    """(number of the representative, orbit size) for every orbit, in order
+    of the representatives' numbers.
+
+    Every object starts labelled with its own number.  A round takes each
+    move's permutation perm and lowers label[i] and label[perm[i]] to the
+    smaller of the two, then jumps every label to its label's label; the
+    rounds stop after one that changes nothing.  A label is always the
+    number of an object in the same orbit and never grows.  At the fixpoint
+    the labels agree along every move, so they are constant on each orbit
+    (the orbits are the connected components of the moves' permutations),
+    and the constant is at most the least number of the orbit and belongs
+    to it: it is that least number, the first object of the orbit a scan in
+    numbering order meets.  So np.unique of the labels lists the first-seen
+    representatives in the order the scan meets them, with the number of
+    objects carrying each label as its orbit size."""
+    perms = [space.images(move) for move in space.moves]
+    label = np.arange(space.total, dtype=_uint_dtype(space.total))
+    while True:
+        before = label.copy()
+        for perm in perms:
+            np.minimum(label, label[perm], out=label)
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    representatives, sizes = np.unique(label, return_counts=True)
+    return list(zip(representatives.tolist(), sizes.tolist()))
 
 
 # -- verdicts ---------------------------------------------------------------------
@@ -523,7 +621,7 @@ def _decide_indecomposable(obj: CensusObject, orbit_size: int, group_order: int)
     """Whether the class of obj is indecomposable, from dim End obj and
     |Aut obj| = group_order / orbit_size (certificate in the module
     docstring).  Raises ShapeError when the counts are impossible, which
-    means the orbit walk or the hom system is wrong."""
+    means the orbit partition or the hom system is wrong."""
     rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
     if rep.total_dim == 0:
         return False
@@ -560,8 +658,8 @@ def census(
     workers: int = 1,
 ) -> CensusReport:
     """Enumerate every object at the given dimension vector, split the
-    objects into isomorphism classes by walking the orbits of
-    G = prod_v GL(d_v, q) through per-factor permutation tables, and report
+    objects into isomorphism classes, the orbits of G = prod_v GL(d_v, q),
+    by label propagation over per-factor permutation tables, and report
     each class's first-seen representative, orbit size, indecomposability
     and canonical-tag match (tag None on an indecomposable class means
     UNMATCHED; decomposable classes carry no tag).  Indecomposability is

@@ -24,15 +24,15 @@ from .functors import (
     random_extension,
 )
 from .matrices import is_invertible
-from .quivers import QuiverRep, hom_basis, is_isomorphic
+from .quivers import QuiverRep, hom_dim, is_isomorphic
 from .relations import (
     PairRelObj,
     RelObj,
-    lrel_hom_basis,
+    _as_rep,
+    _check_one_space_args,
     lrel_is_isomorphic,
     rel_compose,
     rel_dual,
-    rel_hom_basis,
     rel_inverse,
     rel_is_isomorphic,
 )
@@ -103,12 +103,15 @@ def _cmd_classify(args) -> str:
 
 
 def _hom_dim(a, b) -> int:
+    """dim Hom(a, b); relations count through their S- and K-representations,
+    as rel_hom_basis and lrel_hom_basis do."""
     if isinstance(a, QuiverRep) and isinstance(b, QuiverRep):
-        return len(hom_basis(a, b))
+        return hom_dim(a, b)
     if isinstance(a, RelObj) and isinstance(b, RelObj):
-        return len(lrel_hom_basis(a, b))
+        _check_one_space_args(a, b)
+        return hom_dim(_as_rep(a), _as_rep(b))
     if isinstance(a, PairRelObj) and isinstance(b, PairRelObj):
-        return len(rel_hom_basis(a, b))
+        return hom_dim(_as_rep(a), _as_rep(b))
     raise ParseError("hom requires two objects of the same kind")
 
 

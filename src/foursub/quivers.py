@@ -45,6 +45,8 @@ from .matrices import (
     min_poly,
     poly_eval_matrix,
     random_matrix,
+    reduce_bits,
+    reduce_rows,
     rref,
     solve,
 )
@@ -297,18 +299,41 @@ class RepMorphism:
 
 
 def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
-    """Canonical basis of Hom(v, w).
+    """Canonical basis of Hom(v, w): the canonical null-space basis
+    (kernel_basis) of the commutation system of _hom_system, which
+    matrices.kernel_vectors reduces and reads the basis off."""
+    f = v.field
+    rows, offsets, total = _hom_system(v, w)
+    result = []
+    for vec in kernel_vectors(f, rows, total):
+        comps = [
+            Matrix(f, nw, nv, vec[off : off + nw * nv])
+            for off, nv, nw in zip(offsets, v.dims, w.dims)
+        ]
+        result.append(RepMorphism(v, w, comps))
+    return result
+
+
+def hom_dim(v: QuiverRep, w: QuiverRep) -> int:
+    """dim Hom(v, w): the number of unknowns minus the rank of the
+    commutation system, with no basis built."""
+    rows, _, total = _hom_system(v, w)
+    if v.field.p == 2:
+        return total - len(reduce_bits(rows))
+    return total - len(reduce_rows(rows, v.field.p))
+
+
+def _hom_system(v: QuiverRep, w: QuiverRep) -> tuple:
+    """The commutation system of Hom(v, w) as (rows, offsets, number of
+    unknowns), offsets[k] the first unknown of the component at vertex k.
 
     Unknowns are the entries of all vertex components (vertex order, then
     row-major); each arrow a: s -> t contributes one equation
-    (X_t A - B X_s)_(i,j) = 0 per entry, and the basis is the canonical
-    null-space basis of that system (kernel_basis).  The equations are read
-    straight from the arrow matrices' entry tuples and never become a
-    Matrix: over F_2 each is one int bitmask (column j of A at the X_t
-    block, XOR row i of B spread with stride dims_v[s] into the X_s block),
-    otherwise one list of field values, and matrices.kernel_vectors reduces
-    them and reads the basis off.
-    """
+    (X_t A - B X_s)_(i,j) = 0 per entry.  The equations are read straight
+    from the arrow matrices' entry tuples and never become a Matrix: over
+    F_2 each is one int bitmask (column j of A at the X_t block, XOR row i
+    of B spread with stride dims_v[s] into the X_s block), otherwise one
+    list of field values."""
     if v.quiver is not w.quiver:
         raise QuiverMismatch(f"{v.quiver.name} vs {w.quiver.name}")
     if v.field != w.field:
@@ -330,18 +355,8 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
             offsets[si], offsets[ti],
         ))
     if f.p == 2:
-        rows = _gf2_equations(squares)
-    else:
-        rows = _dense_equations(f, squares, total)
-    vectors = kernel_vectors(f, rows, total)
-    result = []
-    for vec in vectors:
-        comps = [
-            Matrix(f, nw, nv, vec[off : off + nw * nv])
-            for off, nv, nw in zip(offsets, v.dims, w.dims)
-        ]
-        result.append(RepMorphism(v, w, comps))
-    return result
+        return _gf2_equations(squares), offsets, total
+    return _dense_equations(f, squares, total), offsets, total
 
 
 def _gf2_equations(squares) -> list[int]:
@@ -381,7 +396,7 @@ def _dense_equations(f: FieldSpec, squares, total: int) -> list[list]:
 
 
 def end_dim(v: QuiverRep) -> int:
-    return len(hom_basis(v, v))
+    return hom_dim(v, v)
 
 
 def direct_sum(*reps: QuiverRep) -> QuiverRep:

@@ -1,12 +1,14 @@
 """Census tests: frozen class counts from independent enumeration, orbit
-accounting, agreement of the orbit walk with pairwise isomorphism tests,
-the counting verdict against hand-checked cells and the indecomposability
-ladder, the generating sets of GL(d, q), the permutation tables against the
-Matrix-level action, worker equivalence, guards, and the release of an
-earlier import."""
+accounting, agreement of the orbit walk with pairwise isomorphism tests and
+with a plain breadth-first search, the batched elimination against
+reduce_rows, the counting verdict against hand-checked cells and the
+indecomposability ladder, the generating sets of GL(d, q), the permutation
+tables against the Matrix-level action, large fields, worker equivalence,
+guards, and the release of an earlier import."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,19 +20,22 @@ import foursub
 from foursub.canon import format_tag
 from foursub.census import (
     COMPONENT_CAP,
+    _batched_rref,
     _census_space,
     _decide_indecomposable,
     _echelon_bases,
     _echelon_shapes,
     _gl_generators,
     _group_order,
+    _orbits,
+    _uint_dtype,
     census,
     census_sweep,
     enumeration_size,
 )
 from foursub.errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from foursub.fields import GF, QQ
-from foursub.matrices import Matrix, column_echelon, direct_sum, inverse
+from foursub.matrices import Matrix, column_echelon, direct_sum, inverse, reduce_rows
 from foursub.quivers import QUIVERS, QuiverRep, end_dim, is_indecomposable, is_isomorphic
 from foursub.relations import (
     PairRelObj,
@@ -462,8 +467,9 @@ def test_tables_follow_the_matrix_action(category, dims, p):
     generators = group_generators(category, field, dims)
     assert len(generators) == len(space.moves)
     for generator, move in zip(generators, space.moves):
+        images = space.images(move)
         for i, obj in enumerate(objects):
-            assert objects[space.image(move, i)] == act(generator, obj)
+            assert objects[images[i]] == act(generator, obj)
 
 
 def enumerate_objects(category, field, dims):
@@ -490,6 +496,95 @@ def enumerate_objects(category, field, dims):
     else:
         for b1, b2 in itertools.product(bases, repeat=2):
             yield PairRelObj(field, dims[0], dims[1], b1, b2)
+
+
+def bfs_orbits(space):
+    """(representative, orbit size) by scanning the numbers in order and
+    walking each unvisited one's orbit breadth-first under the moves."""
+    perms = [space.images(move).tolist() for move in space.moves]
+    for perm in perms:
+        assert sorted(perm) == list(range(space.total))
+    seen = [False] * space.total
+    out = []
+    for start in range(space.total):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for index in orbit:  # the loop reaches appended images
+            for perm in perms:
+                if not seen[perm[index]]:
+                    seen[perm[index]] = True
+                    orbit.append(perm[index])
+        out.append((start, len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "category,dims,q",
+    [
+        ("LinRel1", (3,), 2),  # 7 rounds of label propagation
+        ("K", (3, 3), 2),  # 6 rounds
+        ("K", (2, 2), 3),
+        ("LinRel1", (2,), 3),
+        ("PairRel", (1, 2), 3),
+        ("D", (1, 2, 1), 5),
+        ("PairRel", (1, 1), 5),
+    ],
+)
+def test_label_propagation_matches_breadth_first_search(category, dims, q):
+    space = _census_space(category, GF(q), dims)
+    assert _orbits(space) == bfs_orbits(space)
+
+
+def random_stack(rng, q, r, n, count, full_rank):
+    """count r x n matrices over F_q as row lists, full rank if asked."""
+    mats = []
+    while len(mats) < count:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+        if not full_rank or len(reduce_rows([row[:] for row in rows], q)) == r:
+            mats.append(rows)
+    return mats
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("r,n", [(0, 3), (1, 1), (2, 4), (3, 3), (3, 6), (4, 8)])
+def test_batched_rref_matches_reduce_rows(q, r, n):
+    """Full-rank batches, then arbitrary ones: the same reduced rows and
+    pivot columns as reduce_rows, matrix by matrix."""
+    rng = random.Random(100 * q + 10 * r + n)
+    mats = random_stack(rng, q, r, n, 150, True) + random_stack(rng, q, r, n, 50, False)
+    stack = np.array(mats, dtype=_uint_dtype(max(n, 2) * q * q)).reshape(len(mats), r, n)
+    reduced, mask = _batched_rref(stack.transpose(1, 2, 0).copy(), q)
+    for b, rows in enumerate(mats):
+        pivots = reduce_rows(rows, q)  # in place
+        assert reduced[:, :, b].tolist() == rows
+        assert mask[:, b].tolist() == [j in pivots for j in range(n)]
+
+
+@pytest.mark.parametrize("q", [10007, 65537])
+def test_linrel1_one_over_large_fields_fixes_every_line(q):
+    """g + g with g a scalar fixes every subspace of k^2, so every table is
+    the identity and the q + 3 subspaces are q + 3 orbits of size 1."""
+    space = _census_space("LinRel1", GF(q), (1,))
+    identity = list(range(q + 3))
+    assert space.total == q + 3
+    for move in space.moves:
+        assert [table.tolist() for _, table in move] == [identity]
+        assert space.images(move).tolist() == identity
+    assert _orbits(space) == [(i, 1) for i in identity]
+
+
+def test_kronecker_1_1_over_f251_counts_q_plus_two():
+    # (0, 0) and the q + 1 points of the projective line
+    assert census("K", GF(251), (1, 1)).num_classes == 253
+
+
+def test_pair_relation_past_int64():
+    """(q - 1)^2 overflows int64 over GF(4294967311); the four pairs of
+    subspaces of k^1 are fixed by GL(1)."""
+    report = census("PairRel", GF(4294967311), (1, 0))
+    assert [(c.orbit_size, c.indecomposable) for c in report.classes] == [(1, True)] * 4
 
 
 ISOMORPHIC = {"LinRel1": lrel_is_isomorphic, "PairRel": rel_is_isomorphic}

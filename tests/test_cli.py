@@ -1,4 +1,5 @@
 import hashlib
+import random
 import signal
 
 import pytest
@@ -7,7 +8,16 @@ from foursub.cli import main
 from foursub.fields import GF, FieldSpec, Poly, format_poly, monic_irreducibles
 from foursub.matrices import Matrix
 from foursub.quivers import QUIVERS, QuiverRep
-from foursub.relations import RelObj, rel_compose, rel_dual, rel_inverse
+from foursub.relations import (
+    RelObj,
+    lrel_hom_basis,
+    random_pairrel,
+    random_rel,
+    rel_compose,
+    rel_dual,
+    rel_hom_basis,
+    rel_inverse,
+)
 from foursub.repio import format_object, parse_object
 
 F2 = GF(2)
@@ -132,6 +142,28 @@ class TestHomIso:
         assert (code, out) == (0, "hom dim: 4\n")
         code, out, _ = run(capsys, "hom", kron_sum, kron_sum, "--format", "lines")
         assert (code, out) == (0, "4\n")
+
+    def test_hom_of_relations_counts_their_hom_bases(self, capsys, tmp_path):
+        """CLI hom on seeded relations and pairs of relations; a relation
+        between spaces of different dimensions has no one-space morphisms."""
+        rng = random.Random(4)
+        for field in (F2, F3):
+            for _ in range(4):
+                d = rng.randrange(1, 3)
+                a, b = (random_rel(field, d, d, rng.randrange(2 * d + 1), rng) for _ in "ab")
+                x, y = (
+                    random_pairrel(field, d, 1, rng.randrange(d + 2), rng.randrange(d + 2), rng)
+                    for _ in "xy"
+                )
+                pairs = [(a, b, lrel_hom_basis), (a, a, lrel_hom_basis)]
+                pairs += [(x, y, rel_hom_basis), (y, y, rel_hom_basis)]
+                for u, v, basis in pairs:
+                    files = write(tmp_path, "u.rel", u), write(tmp_path, "v.rel", v)
+                    code, out, _ = run(capsys, "hom", *files, "--format", "lines")
+                    assert (code, out) == (0, f"{len(basis(u, v))}\n")
+        lopsided = write(tmp_path, "w.rel", RelObj(F2, 1, 2, M(F2, [[1], [0], [1]])))
+        code, _, err = run(capsys, "hom", lopsided, lopsided)
+        assert code == 1 and err.startswith("error: DimensionMismatch:")
 
     def test_iso(self, capsys, tmp_path, kron_sum):
         # conjugated copy: swap the two basis vectors at each vertex

@@ -26,6 +26,7 @@ from foursub.quivers import (
     end_dim,
     find_isomorphism,
     hom_basis,
+    hom_dim,
     is_indecomposable,
     is_isomorphic,
     random_conjugate,
@@ -127,10 +128,26 @@ class TestHom:
             assert h.is_valid()
 
     def test_quiver_mismatch(self):
-        with pytest.raises(QuiverMismatch):
-            hom_basis(QuiverRep.zero(F2, KQ), QuiverRep.zero(F2, CQ))
-        with pytest.raises(FieldMismatch):
-            hom_basis(QuiverRep.zero(F2, KQ), QuiverRep.zero(F3, KQ))
+        for hom in (hom_basis, hom_dim):
+            with pytest.raises(QuiverMismatch):
+                hom(QuiverRep.zero(F2, KQ), QuiverRep.zero(F2, CQ))
+            with pytest.raises(FieldMismatch):
+                hom(QuiverRep.zero(F2, KQ), QuiverRep.zero(F3, KQ))
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, QQ, GF(4294967311)], ids=str)
+    def test_hom_dim_counts_the_hom_basis(self, field):
+        """Seeded pairs on every quiver, with zero dimensions, zero
+        representations and direct sums (so that dims above 1 occur)."""
+        rng = random.Random(17)
+        for quiver in QUIVERS.values():
+            zero = QuiverRep.zero(field, quiver)
+            for _ in range(4):
+                u, v = (
+                    random_rep(field, quiver, [rng.randrange(3) for _ in quiver.vertices], rng)
+                    for _ in range(2)
+                )
+                for x, y in [(u, v), (v, u), (u, u), (u, direct_sum(u, v)), (zero, u), (u, zero)]:
+                    assert hom_dim(x, y) == len(hom_basis(x, y))
 
 
 def _dense_hom_basis(v, w):
