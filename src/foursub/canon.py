@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import InvalidTag, ParseError, UnclassifiedSummand
 from .fields import FieldSpec, Poly, format_poly, monic_irreducibles, parse_poly
-from .functors import FUNCTOR_SOURCES, apply_functor
+from .functors import FUNCTOR_SOURCES, _s_vertices, apply_functor
 from .matrices import (
     Matrix,
     companion,
@@ -741,18 +741,12 @@ def _all_tags_with_embedded_total(
 
 
 def _embedded_total(category: str, shape: tuple) -> int:
+    """Total dimension of the embedded four-subspace representation: functor
+    1 takes S-dims (s1, s2, s3, s4) to (s1 + s2, s1, s2, s3, s4)."""
     if category == "F":
         return sum(shape)
-    if category in ("S", "PairRel"):
-        return 2 * (shape[0] + shape[1]) + shape[2] + shape[3]
-    if category == "D":
-        return 2 * shape[0] + 3 * shape[1] + shape[2]
-    if category == "K":
-        return 2 * shape[0] + 4 * shape[1]
-    if category == "C":
-        return 3 * (shape[0] + shape[1])
-    # LinRel1
-    return 5 * shape[0] + shape[1]
+    s1, s2, s3, s4 = _s_vertices(category, shape)
+    return 2 * (s1 + s2) + s3 + s4
 
 
 def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:

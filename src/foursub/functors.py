@@ -2,13 +2,22 @@
 morphisms, the gateway map eta, essential-image predicates with witnesses,
 hom-transport verification, and extension-closure witnesses.
 
-Every embedding realizes the ambient space concretely as the block direct
-sum V1 + V2 (V1 coordinates first); the two inclusion arms are the block
-column injections and the remaining arms are stacked blocks.  Because every
-image predicate first requires eta (the assembled map V1+V2 -> V0) to be
-invertible, the coefficient blocks appearing in the predicates are unique
--- they are read off from eta^{-1} applied to the two remaining arms -- so
-no search is involved anywhere.
+The six embeddings are one.  ``_as_s`` places an object of each source
+category in S, putting identities on the S-arrows its category lacks, and
+functor 1 (S -> F) does the rest: it realizes the ambient space concretely
+as the block direct sum V1 + V2 (V1 coordinates first), with the block
+column injections as the two inclusion arms and the stacked S-arrows as the
+remaining arms.  Criterion 5's image nesting follows.  The image of functor
+i holds the F-representations whose S-representation is invertible on the
+arrows where ``_as_s`` puts identities (with injective relation arms for 5
+and 6).  K and C put an identity on delta, as D does, so their images lie
+inside D's; a relation R on one space is the pair (diagonal, R), and the
+diagonal's arm is injective, so LinRel1's image lies inside PairRel's.
+
+Because every image predicate first requires eta (the assembled map
+V1+V2 -> V0) to be invertible, the S-representation behind a member of an
+image is unique -- its arrows are read off from eta^{-1} applied to the two
+remaining arms -- so no search is involved anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .matrices import (
     vstack,
 )
 from .quivers import QUIVERS, QuiverRep, RepMorphism
-from .relations import PairRelObj, RelMorphism, RelObj, _as_rep
+from .relations import PairRelObj, RelMorphism, RelObj, _as_rep, _from_rep
 
 FUNCTOR_SOURCES = {
     1: "S",
@@ -48,6 +57,7 @@ FUNCTOR_SOURCES = {
 }
 
 _F = QUIVERS["F"]
+_S = QUIVERS["S"]
 
 
 def _check_functor_index(i: int) -> None:
@@ -71,81 +81,67 @@ def _require_source(i: int, obj) -> None:
             raise SourceMismatch("embedding 6 needs a pair of relations")
 
 
+# How _as_s places each source category in S.  First, for each S-vertex,
+# the position of its space in the order of _s_vertices.  Then, for each
+# S-arrow, the source arrow on it, or None where _as_s puts an identity.  A
+# relation on one space is placed through its K-representation
+# (relations._as_rep: alpha = top, beta = bottom).
+_PLACEMENTS = {
+    "S": ((0, 1, 2, 3), ("alpha", "beta", "gamma", "delta")),
+    "D": ((0, 1, 2, 1), ("alpha", "beta", "gamma", None)),
+    "K": ((0, 1, 1, 1), ("alpha", None, "beta", None)),
+    "C": ((0, 1, 0, 1), (None, "beta", "alpha", None)),
+    "LinRel1": ((0, 0, 0, 1), (None, None, "alpha", "beta")),
+    "PairRel": ((0, 1, 2, 3), ("alpha", "beta", "gamma", "delta")),
+}
+
+
+def _s_vertices(category: str, values) -> tuple:
+    """Per-vertex values of a source object (its dims, or the components of
+    a morphism) placed at the four vertices of its S-representation.
+
+    The values come in the order of canon._object_shape: the quiver's
+    vertices, (V, R) for a relation R on one space V, and (V1, V2, R1, R2)
+    for a pair of relations.
+    """
+    return tuple(values[k] for k in _PLACEMENTS[category][0])
+
+
+def _as_s(i: int, obj) -> QuiverRep:
+    """The S-representation that functor i embeds through functor 1.
+
+    A pair of relations is its S-representation; D, K, C and a relation R on
+    V get identities on the S-arrows their category lacks (R becomes the pair
+    (diagonal, R)).  A morphism of S-representations agrees at the two ends
+    of each identity, so the morphisms of the images are exactly the images
+    of the source morphisms: the map is full and faithful.
+    """
+    _require_source(i, obj)
+    rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
+    f, category = rep.field, FUNCTOR_SOURCES[i]
+    dims = _s_vertices(category, rep.dims)
+    mats = [
+        rep.mat(name) if name else Matrix.identity(f, dims[_S.vertex_index(a.target)])
+        for a, name in zip(_S.arrows, _PLACEMENTS[category][1])
+    ]
+    return QuiverRep(f, _S, dims, mats)
+
+
 def apply_functor(i: int, obj) -> QuiverRep:
     """Embed an object of the i-th source category as a four-subspace
-    representation."""
-    _require_source(i, obj)
-    f = obj.field
-
-    def fr(d0, d1, d2, d3, d4, arm3: Matrix, arm4: Matrix) -> QuiverRep:
-        ident1 = Matrix.identity(f, d1)
-        ident2 = Matrix.identity(f, d2)
-        arm1 = vstack(ident1, Matrix.zeros(f, d2, d1))
-        arm2 = vstack(Matrix.zeros(f, d1, d2), ident2)
-        return QuiverRep(
-            f,
-            _F,
-            (d0, d1, d2, d3, d4),
-            {"alpha": arm1, "beta": arm2, "gamma": arm3, "delta": arm4},
-        )
-
-    if i == 1:
-        d1, d2, d3, d4 = obj.dims
-        return fr(
-            d1 + d2,
-            d1,
-            d2,
-            d3,
-            d4,
-            vstack(obj.mat("alpha"), obj.mat("beta")),
-            vstack(obj.mat("gamma"), obj.mat("delta")),
-        )
-    if i == 2:
-        d1, d2, d3 = obj.dims
-        return fr(
-            d1 + d2,
-            d1,
-            d2,
-            d3,
-            d2,
-            vstack(obj.mat("alpha"), obj.mat("beta")),
-            vstack(obj.mat("gamma"), Matrix.identity(f, d2)),
-        )
-    if i == 3:
-        d1, d2 = obj.dims
-        return fr(
-            d1 + d2,
-            d1,
-            d2,
-            d2,
-            d2,
-            vstack(obj.mat("alpha"), Matrix.identity(f, d2)),
-            vstack(obj.mat("beta"), Matrix.identity(f, d2)),
-        )
-    if i == 4:
-        d1, d2 = obj.dims
-        return fr(
-            d1 + d2,
-            d1,
-            d2,
-            d1,
-            d2,
-            vstack(Matrix.identity(f, d1), obj.mat("beta")),
-            vstack(obj.mat("alpha"), Matrix.identity(f, d2)),
-        )
-    if i == 5:
-        d = obj.dim1
-        return fr(
-            2 * d,
-            d,
-            d,
-            d,
-            obj.rel_dim,
-            vstack(Matrix.identity(f, d), Matrix.identity(f, d)),
-            obj.basis,
-        )
-    # i == 6: the first embedding of the pair's S-representation
-    return apply_functor(1, _as_rep(obj))
+    representation: functor 1 of its S-representation."""
+    s = _as_s(i, obj)
+    f = s.field
+    d1, d2, d3, d4 = s.dims
+    alpha, beta, gamma, delta = s.mats
+    arm1 = vstack(Matrix.identity(f, d1), Matrix.zeros(f, d2, d1))
+    arm2 = vstack(Matrix.zeros(f, d1, d2), Matrix.identity(f, d2))
+    return QuiverRep(
+        f,
+        _F,
+        (d1 + d2, d1, d2, d3, d4),
+        (arm1, arm2, vstack(alpha, beta), vstack(gamma, delta)),
+    )
 
 
 def _restrict_along(target_basis: Matrix, image: Matrix) -> Matrix:
@@ -157,55 +153,48 @@ def _restrict_along(target_basis: Matrix, image: Matrix) -> Matrix:
     return out
 
 
-def apply_functor_mor(i: int, mor) -> RepMorphism:
-    """The embedded morphism between the embedded objects.
-
-    For indices 1-4 the input is a morphism of source-quiver
-    representations; for 5 a relation morphism with equal components; for 6
-    a relation-pair morphism.
-    """
+def _source_components(i: int, mor) -> tuple:
+    """The components of a source morphism in the order of _s_vertices; a
+    relation morphism's components at the relations are its restrictions."""
     _check_functor_index(i)
     if i in (1, 2, 3, 4):
         if not isinstance(mor, RepMorphism) or mor.source.quiver.name != FUNCTOR_SOURCES[i]:
             raise SourceMismatch(
                 f"embedding {i} needs a morphism of {FUNCTOR_SOURCES[i]}-representations"
             )
-        src = apply_functor(i, mor.source)
-        tgt = apply_functor(i, mor.target)
-        l1, l2 = mor.comp(1), mor.comp(2)
-        l0 = mat_direct_sum(l1, l2)
-        if i == 1:
-            comps = (l0, l1, l2, mor.comp(3), mor.comp(4))
-        elif i == 2:
-            comps = (l0, l1, l2, mor.comp(3), l2)
-        elif i == 3:
-            comps = (l0, l1, l2, l2, l2)
-        else:
-            comps = (l0, l1, l2, l1, l2)
-        return RepMorphism(src, tgt, comps)
+        return mor.comps
     if not isinstance(mor, RelMorphism):
         raise SourceMismatch(f"embedding {i} needs a relation morphism")
-    if i == 5:
-        if mor.f1 != mor.f2:
-            raise SourceMismatch(
-                "embedding 5 needs a one-space morphism (equal components)"
-            )
-        _require_source(5, mor.source)
-        _require_source(5, mor.target)
-        src = apply_functor(5, mor.source)
-        tgt = apply_functor(5, mor.target)
-        f = mor.f1
-        l0 = mat_direct_sum(f, f)
-        restriction = _restrict_along(mor.target.basis, l0 @ mor.source.basis)
-        return RepMorphism(src, tgt, (l0, f, f, f, restriction))
-    _require_source(6, mor.source)
-    _require_source(6, mor.target)
-    src = apply_functor(6, mor.source)
-    tgt = apply_functor(6, mor.target)
+    if i == 5 and mor.f1 != mor.f2:
+        raise SourceMismatch(
+            "embedding 5 needs a one-space morphism (equal components)"
+        )
+    src, tgt = mor.source, mor.target
+    _require_source(i, src)
+    _require_source(i, tgt)
     l0 = mat_direct_sum(mor.f1, mor.f2)
-    r1 = _restrict_along(mor.target.basis1, l0 @ mor.source.basis1)
-    r2 = _restrict_along(mor.target.basis2, l0 @ mor.source.basis2)
-    return RepMorphism(src, tgt, (l0, mor.f1, mor.f2, r1, r2))
+    if i == 5:
+        return (mor.f1, _restrict_along(tgt.basis, l0 @ src.basis))
+    r1 = _restrict_along(tgt.basis1, l0 @ src.basis1)
+    r2 = _restrict_along(tgt.basis2, l0 @ src.basis2)
+    return (mor.f1, mor.f2, r1, r2)
+
+
+def apply_functor_mor(i: int, mor) -> RepMorphism:
+    """The embedded morphism between the embedded objects: functor 1 of the
+    morphism of S-representations.
+
+    For indices 1-4 the input is a morphism of source-quiver
+    representations; for 5 a relation morphism with equal components; for 6
+    a relation-pair morphism.
+    """
+    comps = _source_components(i, mor)
+    l1, l2, l3, l4 = _s_vertices(FUNCTOR_SOURCES[i], comps)
+    return RepMorphism(
+        apply_functor(i, mor.source),
+        apply_functor(i, mor.target),
+        (mat_direct_sum(l1, l2), l1, l2, l3, l4),
+    )
 
 
 def lrel_morphism(source: RelObj, target: RelObj, f: Matrix) -> RelMorphism:
@@ -254,126 +243,74 @@ class ImageResult:
         return self.contained
 
 
-def _square_and_invertible(m: Matrix) -> Optional[str]:
-    if not m.is_square:
-        return "NonSquareBlock"
-    if not is_invertible(m):
-        return "BlockNotInvertible"
-    return None
+def _from_s(i: int, w: QuiverRep):
+    """A source object of functor i whose _as_s is isomorphic to w.
+
+    The S-arrows that _as_s makes identities must be invertible (and, for
+    relations, the source maps jointly injective).  The change of basis by
+    their inverses turns them into identities; the other arrows are the
+    source object.
+    """
+    if i in (1, 6):
+        return w if i == 1 else _from_rep(w)
+    f = w.field
+    d1, d2, d3, d4 = w.dims
+    alpha, beta, gamma, delta = w.mats
+    if i == 2:
+        mats = (alpha, beta, gamma @ inverse(delta))
+        return QuiverRep(f, QUIVERS["D"], (d1, d2, d3), mats)
+    if i == 3:
+        mats = (alpha @ inverse(beta), gamma @ inverse(delta))
+        return QuiverRep(f, QUIVERS["K"], (d1, d2), mats)
+    if i == 4:
+        mats = (gamma @ inverse(delta), beta @ inverse(alpha))
+        return QuiverRep(f, QUIVERS["C"], (d1, d2), mats)
+    mats = (inverse(alpha) @ gamma, inverse(beta) @ delta)
+    return _from_rep(QuiverRep(f, QUIVERS["K"], (d3, d4), mats))
 
 
 def in_image(i: int, v: QuiverRep) -> ImageResult:
     """Decide membership in the essential image of the i-th embedding and
     produce a source-category witness on success.
 
-    Every case requires eta invertible; the coefficient blocks are then
-    unique, so each case reduces to invertibility / injectivity tests on
-    blocks of eta^{-1} applied to the two non-inclusion arms.
+    Every case requires eta invertible; the S-representation w with
+    functor 1 of w isomorphic to v is then unique, its arrows the blocks of
+    eta^{-1} applied to the two non-inclusion arms.  v lies in the image of
+    functor i exactly when the arrows of w that _as_s makes identities are
+    invertible, checked in arrow order, and, for relations, the arms holding
+    their bases are injective.
     """
     _check_functor_index(i)
     if v.quiver.name != "F":
         raise SourceMismatch("image predicates apply to four-subspace representations")
-    f = v.field
-    d0, d1, d2, d3, d4 = v.dims
+    _, d1, d2, d3, d4 = v.dims
     e = eta(v)
     if not e.is_invertible:
         return ImageResult(False, reason="EtaNotInvertible")
     eta_inv = inverse(e.matrix)
     gamma_coords = eta_inv @ v.mat("gamma")  # (d1+d2) x d3
     delta_coords = eta_inv @ v.mat("delta")  # (d1+d2) x d4
-    gamma_top = gamma_coords.take_rows(0, d1)
-    gamma_bottom = gamma_coords.take_rows(d1, d1 + d2)
-    delta_top = delta_coords.take_rows(0, d1)
-    delta_bottom = delta_coords.take_rows(d1, d1 + d2)
-    blocks = {
-        "eta_inv": eta_inv,
-        "gamma_top": gamma_top,
-        "gamma_bottom": gamma_bottom,
-        "delta_top": delta_top,
-        "delta_bottom": delta_bottom,
-    }
-
-    def fail(reason: str) -> ImageResult:
-        return ImageResult(False, reason=reason, blocks=blocks)
-
-    if i == 1:
-        witness = QuiverRep(
-            f,
-            QUIVERS["S"],
-            (d1, d2, d3, d4),
-            {
-                "alpha": gamma_top,
-                "beta": gamma_bottom,
-                "gamma": delta_top,
-                "delta": delta_bottom,
-            },
-        )
-        return ImageResult(True, witness, blocks=blocks)
-    if i == 2:
-        bad = _square_and_invertible(delta_bottom)
-        if bad:
-            return fail(bad)
-        witness = QuiverRep(
-            f,
-            QUIVERS["D"],
-            (d1, d2, d3),
-            {
-                "alpha": gamma_top,
-                "beta": gamma_bottom,
-                "gamma": delta_top @ inverse(delta_bottom),
-            },
-        )
-        return ImageResult(True, witness, blocks=blocks)
-    if i == 3:
-        bad = _square_and_invertible(gamma_bottom) or _square_and_invertible(
-            delta_bottom
-        )
-        if bad:
-            return fail(bad)
-        witness = QuiverRep(
-            f,
-            QUIVERS["K"],
-            (d1, d2),
-            {
-                "alpha": gamma_top @ inverse(gamma_bottom),
-                "beta": delta_top @ inverse(delta_bottom),
-            },
-        )
-        return ImageResult(True, witness, blocks=blocks)
-    if i == 4:
-        bad = _square_and_invertible(gamma_top) or _square_and_invertible(
-            delta_bottom
-        )
-        if bad:
-            return fail(bad)
-        witness = QuiverRep(
-            f,
-            QUIVERS["C"],
-            (d1, d2),
-            {
-                "alpha": delta_top @ inverse(delta_bottom),
-                "beta": gamma_bottom @ inverse(gamma_top),
-            },
-        )
-        return ImageResult(True, witness, blocks=blocks)
-    if i == 5:
-        bad = _square_and_invertible(gamma_top) or _square_and_invertible(
-            gamma_bottom
-        )
-        if bad:
-            return fail(bad)
-        if rref(v.mat("delta")).rank < d4:
-            return fail("NotInjective")
-        basis = vstack(
-            inverse(gamma_top) @ delta_top, inverse(gamma_bottom) @ delta_bottom
-        )
-        witness = RelObj(f, d3, d3, basis)
-        return ImageResult(True, witness, blocks=blocks)
-    # i == 6
-    if rref(v.mat("gamma")).rank < d3 or rref(v.mat("delta")).rank < d4:
-        return fail("NotInjective")
-    witness = PairRelObj(f, d1, d2, gamma_coords, delta_coords)
-    return ImageResult(True, witness, blocks=blocks)
+    w = QuiverRep(
+        v.field,
+        _S,
+        (d1, d2, d3, d4),
+        (
+            gamma_coords.take_rows(0, d1),
+            gamma_coords.take_rows(d1, d1 + d2),
+            delta_coords.take_rows(0, d1),
+            delta_coords.take_rows(d1, d1 + d2),
+        ),
+    )
+    names = ("gamma_top", "gamma_bottom", "delta_top", "delta_bottom")
+    blocks = {"eta_inv": eta_inv, **dict(zip(names, w.mats))}
+    for m, name in zip(w.mats, _PLACEMENTS[FUNCTOR_SOURCES[i]][1]):
+        if name is None and not (m.is_square and is_invertible(m)):
+            reason = "BlockNotInvertible" if m.is_square else "NonSquareBlock"
+            return ImageResult(False, reason=reason, blocks=blocks)
+    relation_arms = {5: ("delta",), 6: ("gamma", "delta")}.get(i, ())
+    if any(rref(v.mat(arm)).rank < v.mat(arm).cols for arm in relation_arms):
+        return ImageResult(False, reason="NotInjective", blocks=blocks)
+    return ImageResult(True, _from_s(i, w), blocks=blocks)
 
 
 # -- hom transport ---------------------------------------------------------------

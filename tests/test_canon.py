@@ -11,6 +11,8 @@ from foursub.canon import (
     IndecompTag,
     _SHAPES,
     _VALID_TYPES,
+    _embedded_canon,
+    _embedded_total,
     arm_permute,
     canon_rep,
     classify,
@@ -370,6 +372,17 @@ def test_arm_permute_conjugate_still_classifies():
     got = classify(rep)
     assert len(got) == 1
     assert got[0][0].type_name in ("IV", "IVStar")
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_embedded_total_matches_embedding(field):
+    """_embedded_total reads the S-dims table of functors; it must agree with
+    the embedded canonical object for every tag, family tags included."""
+    for category in CATEGORIES:
+        for tag in all_tags(category, field, max_n=3, max_deg=2, max_size=3):
+            shape = _SHAPES[(category, tag.type_name)](tag.n)
+            want = _embedded_canon(tag, field).total_dim
+            assert _embedded_total(category, shape) == want, tag
 
 
 # -- images of canonical objects ---------------------------------------------

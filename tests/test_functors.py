@@ -7,8 +7,10 @@ from foursub.errors import (
     RestrictionNotContained,
     SourceMismatch,
 )
-from foursub.fields import GF
+from foursub.fields import GF, QQ
 from foursub.functors import (
+    _as_s,
+    _source_hom_basis,
     apply_functor,
     apply_functor_mor,
     eta,
@@ -25,7 +27,9 @@ from foursub.quivers import (
     RepMorphism,
     direct_sum,
     hom_basis,
+    hom_dim,
     is_isomorphic,
+    random_conjugate,
     random_rep,
 )
 from foursub.relations import (
@@ -129,6 +133,23 @@ class TestApplyFunctor:
                 apply_functor(i, total),
                 direct_sum(apply_functor(i, x), apply_functor(i, y)),
             )
+
+
+class TestAsS:
+    """Every embedding is functor 1 after _as_s, so _as_s must be full and
+    faithful: source hom spaces and S hom spaces have the same dimension."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
+    def test_full_and_faithful(self, i, field):
+        rng = random.Random(f"{i} {field.name}")
+        for _ in range(100):
+            x = random_source(i, field, rng, size=3)
+            y = random_source(i, field, rng, size=3)
+            basis = _source_hom_basis(i, x, y)
+            assert len(basis) == hom_dim(_as_s(i, x), _as_s(i, y)), (x, y)
+            for m in basis:
+                assert apply_functor_mor(i, m).is_valid()
 
 
 class TestApplyFunctorMor:
@@ -268,6 +289,64 @@ class TestInImage:
     def test_wrong_quiver(self):
         with pytest.raises(SourceMismatch):
             in_image(1, QuiverRep.zero(F2, QUIVERS["K"]))
+
+    # (functor, failing checks, S-dims, S-arrows set to zero, reason): functor
+    # 1 of an S-representation whose arrows are all-ones matrices except the
+    # zeroed ones; each case fails one check of in_image, or two, where the
+    # first one checked decides the reason.
+    REASON_CASES = [
+        (2, "delta", (1, 1, 1, 2), (), "NonSquareBlock"),
+        (2, "delta", (1, 1, 1, 1), ("delta",), "BlockNotInvertible"),
+        (3, "beta", (1, 1, 2, 1), (), "NonSquareBlock"),
+        (3, "beta", (1, 1, 1, 1), ("beta",), "BlockNotInvertible"),
+        (3, "delta", (1, 1, 1, 2), (), "NonSquareBlock"),
+        (3, "delta", (1, 1, 1, 1), ("delta",), "BlockNotInvertible"),
+        (4, "alpha", (1, 1, 2, 1), (), "NonSquareBlock"),
+        (4, "alpha", (1, 1, 1, 1), ("alpha",), "BlockNotInvertible"),
+        (4, "delta", (1, 1, 1, 2), (), "NonSquareBlock"),
+        (4, "delta", (1, 1, 1, 1), ("delta",), "BlockNotInvertible"),
+        (5, "alpha", (2, 1, 1, 1), (), "NonSquareBlock"),
+        (5, "alpha", (1, 1, 1, 1), ("alpha",), "BlockNotInvertible"),
+        (5, "beta", (1, 2, 1, 1), (), "NonSquareBlock"),
+        (5, "beta", (1, 1, 1, 1), ("beta",), "BlockNotInvertible"),
+        (5, "arm4", (1, 1, 1, 2), (), "NotInjective"),
+        (6, "arm3", (1, 1, 1, 1), ("alpha", "beta"), "NotInjective"),
+        (6, "arm4", (1, 1, 1, 1), ("gamma", "delta"), "NotInjective"),
+        (3, "beta+delta", (1, 1, 2, 1), ("delta",), "NonSquareBlock"),
+        (4, "alpha+delta", (1, 1, 2, 1), ("delta",), "NonSquareBlock"),
+        (5, "alpha+arm4", (1, 1, 1, 1), ("alpha", "gamma", "delta"), "BlockNotInvertible"),
+    ]
+
+    @pytest.mark.parametrize(
+        "i, checks, dims, zeroed, reason",
+        REASON_CASES,
+        ids=[f"{c[0]}-{c[1]}-{c[4]}" for c in REASON_CASES],
+    )
+    def test_reason_of_each_check(self, i, checks, dims, zeroed, reason):
+        s_quiver = QUIVERS["S"]
+        mats = {}
+        for a in s_quiver.arrows:
+            rows = dims[s_quiver.vertex_index(a.target)]
+            cols = dims[s_quiver.vertex_index(a.source)]
+            fill = 0 if a.name in zeroed else 1
+            mats[a.name] = Matrix(F3, rows, cols, [fill] * (rows * cols))
+        s_rep = QuiverRep(F3, s_quiver, dims, mats)
+        v = random_conjugate(apply_functor(1, s_rep), random.Random(sum(dims)))
+        res = in_image(i, v)
+        assert (res.contained, res.reason, res.witness) == (False, reason, None)
+        assert set(res.blocks) == {
+            "eta_inv", "gamma_top", "gamma_bottom", "delta_top", "delta_bottom"
+        }
+        assert in_image(1, v).contained
+
+    def test_eta_reason_for_every_functor(self):
+        v = random_rep(F3, FQ, (2, 1, 1, 1, 1), random.Random(0))
+        v = QuiverRep(F3, FQ, v.dims, (v.mat("alpha"), v.mat("alpha"), *v.mats[2:]))
+        for i in range(1, 7):
+            res = in_image(i, v)
+            assert (res.contained, res.reason, res.blocks) == (
+                False, "EtaNotInvertible", {}
+            )
 
 
 class TestHomTransport:
