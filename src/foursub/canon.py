@@ -311,10 +311,7 @@ def _build_f(tag: IndecompTag, field: FieldSpec):
     vertex = int(t[-1])
     dims = [0, 0, 0, 0, 0]
     dims[vertex] = 1
-    mats = {
-        a.name: _zeros(field, 0, dims[QUIVERS["F"].vertex_index(a.source)])
-        for a in QUIVERS["F"].arrows
-    }
+    mats = [_zeros(field, 0, dims[si]) for si, _ in QUIVERS["F"].ends]
     return QuiverRep(field, QUIVERS["F"], dims, mats)
 
 
@@ -813,14 +810,19 @@ def classify_indecomposable(obj, candidates=None) -> IndecompTag:
         if _basis_iso(category, obj, canon_rep(tag, field)):
             return tag
     embedded = _embed(category, obj)
-    total = embedded.total_dim
+    total, (centre, *arms) = embedded.total_dim, embedded.dims
+    # each permutation with the dims arm_permute gives it, so that only
+    # the permutations matching a target's dims are built
+    perms = [
+        (perm, (centre,) + tuple(arms[p] for p in perm))
+        for perm in itertools.permutations(range(4))
+    ]
     for tag in _all_tags_with_embedded_total(category, total, field, candidates):
         target = _embedded_canon(tag, field)
-        for perm in itertools.permutations(range(4)):
-            permuted = arm_permute(embedded, perm)
-            if permuted.dims != target.dims:
+        for perm, dims in perms:
+            if dims != target.dims:
                 continue
-            if _iso_to_indecomposable(permuted, target) is not None:
+            if _iso_to_indecomposable(arm_permute(embedded, perm), target) is not None:
                 return tag
     raise UnclassifiedSummand(
         f"no table entry matches an indecomposable of shape {shape} over {field.name}"

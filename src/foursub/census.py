@@ -20,12 +20,15 @@ on a permutation action:
   the number of subspaces).
 * G acts factor by factor: each arrow matrix moves on its own, and so
   does each subspace.  So every generator of G (a small generating set,
-  see _gl_generators) is precomputed once per cell as one permutation
-  table per factor it moves; table[i] is the number of the image of
-  factor value i.  Each table is one numpy computation over all factor
-  values: for arrow matrices moved by M -> left M right, one product with
-  kron(left, right^T); for subspaces, one product and one batched row
-  reduction (_batched_rref) over the stacked echelon rows of each rank.
+  see _gl_generators) is one permutation table per factor it moves;
+  table[i] is the number of the image of factor value i.  Each table is
+  one numpy computation over all factor values: for arrow matrices moved
+  by M -> left M right, one product with kron(left, right^T); for
+  subspaces, one product and one batched row reduction (_batched_rref)
+  over the stacked echelon rows of each rank.  An arrow matrix table
+  depends only on (q, shape, generator, side), so it is built once per
+  process and shared, read-only, by every cell that moves a matrix of
+  that shape (_matrix_table); subspace tables are built once per cell.
 * A generator's permutation of all numbers gathers each factor through
   its table (_MixedRadix.images).  The orbits are the connected components
   of these permutations, found by label propagation with pointer jumping
@@ -65,6 +68,7 @@ import bisect
 import functools
 import itertools
 import multiprocessing
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -96,6 +100,13 @@ COMPONENT_CAP = 4
 # keep every temporary near 1 MB; whole ranks of LinRel1 (4) over F2
 # (200,787 subspaces) left the heap about 30 MB larger.
 _SLICE = 1 << 14
+# Bytes of arrow matrix tables that _matrix_table keeps for later cells,
+# least recently used dropped first.  The criterion-1 sweep over F2 leaves
+# 24 tables, 5,504 bytes in all; one 4 x 4 table over F3 (3^16 entries) takes
+# 344 MB, and a table over the bound serves only the cell that builds it.
+_TABLE_BYTES = 1 << 26
+_tables: dict = {}  # (q, t, s, left, right) -> table, oldest use first
+_tables_lock = threading.Lock()
 
 _DIMS_LEN = {
     "F": 5,
@@ -169,12 +180,7 @@ def _subspace_count(n: int, q: int) -> int:
 
 def _quiver_entry_count(category: str, dims) -> int:
     quiver = QUIVERS[category]
-    total = 0
-    for a in quiver.arrows:
-        total += dims[quiver.vertex_index(a.target)] * dims[
-            quiver.vertex_index(a.source)
-        ]
-    return total
+    return sum(dims[ti] * dims[si] for si, ti in quiver.ends)
 
 
 def enumeration_size(category: str, field: FieldSpec, dims) -> int:
@@ -299,7 +305,8 @@ def _primitive_root(p: int) -> int:
     )
 
 
-def _gl_generators(field: FieldSpec, d: int) -> list:
+@functools.lru_cache(maxsize=8 * (COMPONENT_CAP + 1))  # every d of eight fields
+def _gl_generators(field: FieldSpec, d: int) -> tuple:
     """Generators of GL(d, q) (D. E. Taylor, "Pairs of generators for matrix
     groups", 1987): for d >= 2 the transvection I + E_12 and the d-cycle
     permutation matrix, and for q > 2 also diag(w, 1, ..., 1) with w a
@@ -315,7 +322,13 @@ def _gl_generators(field: FieldSpec, d: int) -> list:
         diagonal = [row[:] for row in identity]
         diagonal[0][0] = _primitive_root(field.p)
         gens.append(diagonal)
-    return [Matrix.from_rows(field, g) for g in gens]
+    return tuple(Matrix.from_rows(field, g) for g in gens)
+
+
+@functools.lru_cache(maxsize=8 * (COMPONENT_CAP + 1))
+def _gl_inverses(field: FieldSpec, d: int) -> tuple:
+    """The inverses of _gl_generators(field, d), in the same order."""
+    return tuple(inverse(g) for g in _gl_generators(field, d))
 
 
 class _MixedRadix:
@@ -350,6 +363,24 @@ class _MixedRadix:
 
 
 def _matrix_table(q: int, t: int, s: int, left, right) -> np.ndarray:
+    """The permutation M -> left M right of the t x s matrices over F_q (see
+    _build_matrix_table).  Built on the first call for its arguments and
+    kept read-only in _tables for later cells, up to _TABLE_BYTES."""
+    key = (q, t, s, left, right)
+    with _tables_lock:
+        table = _tables.pop(key, None)
+        if table is None:
+            table = _build_matrix_table(q, t, s, left, right)
+            table.flags.writeable = False
+            _tables[key] = table
+            while sum(kept.nbytes for kept in _tables.values()) > _TABLE_BYTES:
+                del _tables[next(iter(_tables))]
+        else:
+            _tables[key] = table  # now the most recent use
+    return table
+
+
+def _build_matrix_table(q: int, t: int, s: int, left, right) -> np.ndarray:
     """The permutation M -> left M right of the t x s matrices over F_q, each
     numbered by its entries read row-major as one base-q number; a side
     that is None is not multiplied.  Row-major, the entries of left M right
@@ -370,14 +401,11 @@ class _QuiverSpace(_MixedRadix):
 
     def __init__(self, field: FieldSpec, quiver, dims):
         self.field, self.quiver, self.dims = field, quiver, dims
-        self.shapes = [
-            (dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
-            for a in quiver.arrows
-        ]
+        self.shapes = [(dims[ti], dims[si]) for si, ti in quiver.ends]
         moves = []
         for v, d in zip(quiver.vertices, dims):
-            for g in _gl_generators(field, d):
-                g_inv, move = inverse(g), []
+            for g, g_inv in zip(_gl_generators(field, d), _gl_inverses(field, d)):
+                move = []
                 for k, (a, (t, s)) in enumerate(zip(quiver.arrows, self.shapes)):
                     if v in (a.target, a.source) and t * s:
                         left = g if a.target == v else None

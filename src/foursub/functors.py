@@ -121,8 +121,8 @@ def _as_s(i: int, obj) -> QuiverRep:
     f, category = rep.field, FUNCTOR_SOURCES[i]
     dims = _s_vertices(category, rep.dims)
     mats = [
-        rep.mat(name) if name else Matrix.identity(f, dims[_S.vertex_index(a.target)])
-        for a, name in zip(_S.arrows, _PLACEMENTS[category][1])
+        rep.mat(name) if name else Matrix.identity(f, dims[ti])
+        for (_, ti), name in zip(_S.ends, _PLACEMENTS[category][1])
     ]
     return QuiverRep(f, _S, dims, mats)
 
@@ -371,8 +371,7 @@ def random_extension(u: QuiverRep, w: QuiverRep, seed: int = 0) -> QuiverRep:
     rng = random.Random(seed)
     dims = tuple(a + b for a, b in zip(u.dims, w.dims))
     mats = {}
-    for a in _F.arrows:
-        si, ti = _F.vertex_index(a.source), _F.vertex_index(a.target)
+    for a, (si, ti) in zip(_F.arrows, _F.ends):
         h = random_matrix(f, u.dims[ti], w.dims[si], rng)
         top = hstack(u.mat(a.name), h)
         bottom = hstack(Matrix.zeros(f, w.dims[ti], u.dims[si]), w.mat(a.name))

@@ -18,7 +18,7 @@ matrix has ``dims[t]`` rows and ``dims[s]`` columns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -74,6 +74,13 @@ class Quiver:
     name: str
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
+    # (source index, target index) of each arrow, in arrow order
+    ends: tuple[tuple[int, int], ...] = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = self.vertices.index
+        ends = tuple((index(a.source), index(a.target)) for a in self.arrows)
+        object.__setattr__(self, "ends", ends)
 
     def vertex_index(self, v: int) -> int:
         return self.vertices.index(v)
@@ -140,12 +147,12 @@ class QuiverRep:
                 raise ShapeError(
                     f"quiver {quiver.name} has {len(quiver.arrows)} arrows, got {len(mats)} matrices"
                 )
-        for a, m in zip(quiver.arrows, mats):
+        for a, (si, ti), m in zip(quiver.arrows, quiver.ends, mats):
             if m.field != field:
                 raise FieldMismatch(
                     f"arrow {a.name}: matrix over {m.field.name}, rep over {field.name}"
                 )
-            want = (dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)])
+            want = (dims[ti], dims[si])
             if (m.rows, m.cols) != want:
                 raise ShapeError(
                     f"arrow {a.name}: expected {want[0]}x{want[1]}, got {m.rows}x{m.cols}"
@@ -348,8 +355,7 @@ def _hom_system(v: QuiverRep, w: QuiverRep) -> tuple:
     # per arrow s -> t: A, B entries, dims_v[s], dims_v[t], dims_w[s],
     # dims_w[t] and the offsets of the X_s and X_t blocks
     squares = []
-    for a, A, B in zip(Q.arrows, v.mats, w.mats):
-        si, ti = Q.vertex_index(a.source), Q.vertex_index(a.target)
+    for (si, ti), A, B in zip(Q.ends, v.mats, w.mats):
         squares.append((
             A.entries, B.entries, v.dims[si], v.dims[ti], w.dims[si], w.dims[ti],
             offsets[si], offsets[ti],
@@ -548,10 +554,8 @@ def _restrict_to_bases(rep: QuiverRep, bases: list[Matrix]) -> QuiverRep:
     Q = rep.quiver
     dims = [b.cols for b in bases]
     mats = []
-    for a in Q.arrows:
-        si = Q.vertex_index(a.source)
-        ti = Q.vertex_index(a.target)
-        image = rep.mat(a.name) @ bases[si]
+    for a, (si, ti), m in zip(Q.arrows, Q.ends, rep.mats):
+        image = m @ bases[si]
         restricted = solve(bases[ti], image)
         if restricted is None:
             raise ShapeError(
@@ -905,10 +909,8 @@ def decompose(v: QuiverRep, seed: int = 0) -> list[tuple[QuiverRep, int]]:
 def random_rep(field: FieldSpec, quiver: Quiver, dims, rng) -> QuiverRep:
     dims = tuple(dims)
     mats = []
-    for a in quiver.arrows:
-        r = dims[quiver.vertex_index(a.target)]
-        c = dims[quiver.vertex_index(a.source)]
-        mats.append(random_matrix(field, r, c, rng))
+    for si, ti in quiver.ends:
+        mats.append(random_matrix(field, dims[ti], dims[si], rng))
     return QuiverRep(field, quiver, dims, mats)
 
 
@@ -919,7 +921,6 @@ def random_conjugate(rep: QuiverRep, rng) -> QuiverRep:
     g = [random_invertible(rep.field, d, rng) for d in rep.dims]
     Q = rep.quiver
     mats = []
-    for a in Q.arrows:
-        si, ti = Q.vertex_index(a.source), Q.vertex_index(a.target)
-        mats.append(g[ti] @ rep.mat(a.name) @ inverse(g[si]))
+    for (si, ti), m in zip(Q.ends, rep.mats):
+        mats.append(g[ti] @ m @ inverse(g[si]))
     return QuiverRep(rep.field, Q, rep.dims, mats)

@@ -126,13 +126,11 @@ def parse_object(text: str) -> IOObject:
             lines.expect_key("dims"), len(quiver.vertices), "dims line"
         )
         mats = []
-        for arrow in quiver.arrows:
+        for arrow, (si, ti) in zip(quiver.arrows, quiver.ends):
             label = lines.expect_key("map " + arrow.name)
             if label:
                 raise ParseError(f"unexpected text after 'map {arrow.name}:'")
-            t = dims[quiver.vertex_index(arrow.target)]
-            s = dims[quiver.vertex_index(arrow.source)]
-            mats.append(_parse_matrix(field, lines, t, s))
+            mats.append(_parse_matrix(field, lines, dims[ti], dims[si]))
         lines.done()
         return QuiverRep(field, quiver, dims, mats)
     if kind == "linrel":

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from foursub import canon, quivers
 from foursub.canon import (
     CATEGORIES,
     IndecompTag,
@@ -21,6 +22,7 @@ from foursub.canon import (
     nhat,
     parse_tag,
 )
+from foursub.census import census
 from foursub.errors import InvalidTag, ParseError, ReducibleModulus
 from foursub.fields import GF, QQ, Poly, monic_irreducibles, parse_poly
 from foursub.functors import apply_functor, in_image
@@ -335,6 +337,31 @@ def test_classify_inverse_relation():
     inverted = rel_inverse(graph)
     assert not lrel_is_isomorphic(graph, inverted)
     assert str(classify_indecomposable(inverted)) == "LinRel1:0(2,p=t+1,s=2)"
+
+
+def test_stage_two_builds_only_permutations_of_matching_dims(monkeypatch):
+    # stage two compares a permutation's dims with the target's before it
+    # builds the permuted representation, so every one it builds goes on to
+    # the isomorphism test; the PairRel (1,2) classes over F2 reach stage
+    # two with arms of unequal dims
+    def tags():
+        return [str(c.tag) for c in census("PairRel", F2, (1, 2)).classes]
+
+    expected, built, tested = tags(), [], set()
+    iso = quivers._iso_to_indecomposable
+
+    def recording_arm_permute(rep, perm):
+        built.append(arm_permute(rep, perm))
+        return built[-1]
+
+    def recording_iso(a, b):
+        tested.add(id(a))
+        return iso(a, b)
+
+    monkeypatch.setattr(canon, "arm_permute", recording_arm_permute)
+    monkeypatch.setattr(quivers, "_iso_to_indecomposable", recording_iso)
+    assert tags() == expected
+    assert built and all(id(rep) in tested for rep in built)
 
 
 def test_classify_over_rationals_needs_candidates():

@@ -2,9 +2,11 @@
 accounting, agreement of the orbit walk with pairwise isomorphism tests and
 with a plain breadth-first search, the batched elimination against
 reduce_rows, the counting verdict against hand-checked cells and the
-indecomposability ladder, the generating sets of GL(d, q), the permutation
-tables against the Matrix-level action, large fields, worker equivalence,
-guards, and the release of an earlier import."""
+indecomposability ladder, the generating sets of GL(d, q) and their cached
+inverses, the permutation tables against the Matrix-level action, the
+tables shared between cells (read-only, bounded, the same report cold and
+warm), large fields, worker equivalence, guards, and the release of an
+earlier import."""
 
 import itertools
 import os
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import foursub
+import foursub.census as census_module
 from foursub.canon import format_tag
 from foursub.census import (
     COMPONENT_CAP,
@@ -26,6 +29,7 @@ from foursub.census import (
     _echelon_bases,
     _echelon_shapes,
     _gl_generators,
+    _gl_inverses,
     _group_order,
     _orbits,
     _uint_dtype,
@@ -404,6 +408,73 @@ def test_generators_reach_all_of_gl(d, q):
     gens = _gl_generators(GF(q), d)
     assert all(m.rank == d for m in gens)
     assert closure_size(gens, d, q) == gl_order(d, q)
+
+
+def clear_shared_tables():
+    _gl_generators.cache_clear()
+    _gl_inverses.cache_clear()
+    census_module._tables.clear()
+
+
+def full_signature(report):
+    return [(c.representative,) + entry for c, entry in zip(report.classes, signature(report))]
+
+
+def test_cold_and_warm_tables_give_the_same_report():
+    """A cell run on empty caches and again after other cells of its field
+    filled them reports the same classes, representatives, orbit sizes,
+    verdicts and tags."""
+    others = {
+        3: [("K", (1, 1)), ("S", (2, 1, 1, 1)), ("D", (1, 1, 1)), ("F", (1, 1, 1, 1, 1))],
+        2: [("K", (2, 1)), ("C", (2, 2)), ("K", (1, 2)), ("S", (2, 2, 1, 1))],
+    }
+    for category, q, dims in [("S", 3, (1, 1, 1, 1)), ("K", 2, (2, 2))]:
+        clear_shared_tables()
+        cold = full_signature(census(category, GF(q), dims))
+        assert census_module._tables  # the cell filled the cache
+        for other, other_dims in others[q]:
+            census(other, GF(q), other_dims)
+        warm = full_signature(census(category, GF(q), dims))
+        assert warm == cold
+
+
+def test_shared_tables_are_read_only():
+    clear_shared_tables()
+    census("K", GF(3), (2, 1))
+    assert census_module._tables
+    for table in census_module._tables.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cached_inverses_invert_each_generator(d, q):
+    field = GF(q)
+    clear_shared_tables()
+    for hits in (0, 1):  # computed, then read from the cache
+        inverses = _gl_inverses(field, d)
+        assert _gl_inverses.cache_info().hits == hits
+        assert len(inverses) == len(_gl_generators(field, d))
+        for g, g_inv in zip(_gl_generators(field, d), inverses):
+            assert g_inv @ g == Matrix.identity(field, d)
+
+
+def test_table_cache_keeps_within_its_bound(monkeypatch):
+    """With room for about one 2 x 2 table over F3 (81 int64 entries), the
+    cache drops the least recently used tables, and the census still
+    gives the same report."""
+    clear_shared_tables()
+    expected = full_signature(census("K", GF(3), (2, 2)))
+    clear_shared_tables()
+    monkeypatch.setattr(census_module, "_TABLE_BYTES", 81 * 8)
+    assert full_signature(census("K", GF(3), (2, 2))) == expected
+    assert sum(t.nbytes for t in census_module._tables.values()) <= 81 * 8
+    assert len(census_module._tables) == 1
+    monkeypatch.setattr(census_module, "_TABLE_BYTES", 0)
+    census("K", GF(3), (1, 1))
+    assert census_module._tables == {}  # no table fits
 
 
 def group_generators(category, field, dims):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import signal
 
@@ -60,6 +61,37 @@ def _relation_canon_tags():
 
 def M(field, rows):
     return Matrix.from_rows(field, rows)
+
+
+def _census_f2_cells():
+    """The criterion-1 sweep over F2 in census_sweep order, without
+    LinRel1 (4) and the PairRel cells (0,4), (4,0), (1,3) and (3,1)."""
+    arity = {"K": 2, "C": 2, "D": 3, "S": 4, "F": 5, "LinRel1": 1, "PairRel": 2}
+    sweeps = [("K", 4), ("C", 4), ("D", 4), ("S", 4), ("F", 5), ("LinRel1", 3), ("PairRel", 4)]
+    cells = []
+    for category, bound in sweeps:
+        vectors = [
+            v
+            for v in itertools.product(range(min(4, bound) + 1), repeat=arity[category])
+            if sum(v) <= bound
+        ]
+        for dims in sorted(vectors, key=lambda v: (sum(v), v)):
+            if category == "PairRel" and dims in ((0, 4), (4, 0), (1, 3), (3, 1)):
+                continue
+            cells.append((category, dims))
+    return cells
+
+
+CENSUS_F3_CELLS = [
+    ("K", (1, 1)), ("K", (2, 2)), ("K", (1, 3)), ("C", (2, 2)), ("F", (2, 1, 1, 1, 1)),
+    ("LinRel1", (2,)), ("PairRel", (0, 3)), ("PairRel", (1, 2)), ("D", (2, 1, 1)),
+    ("S", (1, 1, 1, 1)),
+]
+
+# test_census_lines_pinned: recorded before the census shared its
+# generator tables between cells
+CENSUS_F2_SHA256 = "b724c0b6d51dfc187dca54e01a96ff4598344e6829a63a5b2bb3b8fc984dd6d8"
+CENSUS_F3_SHA256 = "9100b21b1ab639e3fc8c6f54f53ad7f152d3739de954032bf653d67bc992e7c7"
 
 
 def run(capsys, *argv):
@@ -444,6 +476,26 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "K", "5", "5")
         assert code == 1
         assert err.startswith("error: TooLarge")
+
+    @pytest.mark.parametrize(
+        "field_name, cells, digest",
+        [
+            ("F2", _census_f2_cells(), CENSUS_F2_SHA256),
+            ("F3", CENSUS_F3_CELLS, CENSUS_F3_SHA256),
+        ],
+        ids=["F2", "F3"],
+    )
+    def test_census_lines_pinned(self, capsys, field_name, cells, digest):
+        # SHA-256 of `census --format lines` over every cell, each after a
+        # "category dims" line; any change of a class, its order, orbit
+        # size, verdict or tag changes it
+        texts = []
+        for category, dims in cells:
+            argv = [category, *map(str, dims)]
+            code, out, err = run(capsys, "census", *argv, "--field", field_name, "--format", "lines")
+            assert (code, err) == (0, ""), argv
+            texts.append(" ".join(argv) + "\n" + out)
+        assert hashlib.sha256("".join(texts).encode("ascii")).hexdigest() == digest
 
 
 class TestExitCodes:

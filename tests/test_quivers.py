@@ -62,6 +62,17 @@ def simple_f(field, vertex):
 
 
 class TestConstruction:
+    def test_arrow_ends_are_vertex_indices(self):
+        loop = Quiver("L", (1, 2), (Arrow("x", 1, 1), Arrow("y", 1, 2)))
+        for quiver in [*QUIVERS.values(), loop]:
+            assert quiver.ends == tuple(
+                (quiver.vertex_index(a.source), quiver.vertex_index(a.target))
+                for a in quiver.arrows
+            )
+        # the ends follow from the arrows: they take no part in equality
+        assert loop == Quiver("L", (1, 2), (Arrow("x", 1, 1), Arrow("y", 1, 2)))
+        assert "ends" not in repr(loop)
+
     def test_zero_rep_validates(self):
         validate(QuiverRep.zero(F2, KQ))
         validate(QuiverRep.zero(QQ, FQ))
