@@ -415,11 +415,11 @@ class _QuiverSpace(_MixedRadix):
         super().__init__([field.p ** (t * s) for t, s in self.shapes], moves)
 
     def build(self, index: int) -> QuiverRep:
-        mats = [
+        mats = tuple(
             Matrix(self.field, t, s, _digits_base_q(digit, self.field.p, t * s))
             for (t, s), digit in zip(self.shapes, self.digits(index))
-        ]
-        return QuiverRep(self.field, self.quiver, self.dims, mats)
+        )
+        return QuiverRep._trusted(self.field, self.quiver, self.dims, mats)
 
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:

@@ -47,11 +47,11 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_rref", None)
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        _set_rref(self, None)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("Matrix is immutable")
@@ -217,6 +217,12 @@ class Matrix:
             [self.entries[i * self.cols + j] for i in range(self.rows) for j in range(start, stop)],
         )
 
+    def select_rows(self, indices) -> "Matrix":
+        idx = list(indices)
+        return Matrix(
+            self.field, len(idx), self.cols, [x for i in idx for x in self.row(i)]
+        )
+
     def select_cols(self, indices) -> "Matrix":
         idx = list(indices)
         return Matrix(
@@ -229,6 +235,15 @@ class Matrix:
     @property
     def rank(self) -> int:
         return rref(self).rank
+
+
+# The slots' own descriptors set them past the immutability guard, at less
+# cost than object.__setattr__, which looks each name up first.
+_set_field = Matrix.field.__set__
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_entries = Matrix.entries.__set__
+_set_rref = Matrix._rref.__set__
 
 
 class RrefResult(NamedTuple):
@@ -254,7 +269,7 @@ def rref(m: Matrix) -> RrefResult:
         result = _rref_gf2(m)
     else:
         result = _rref_rows(m)
-    object.__setattr__(m, "_rref", result)
+    _set_rref(m, result)
     return result
 
 

@@ -165,6 +165,18 @@ class QuiverRep:
     def __setattr__(self, name, value):
         raise AttributeError("QuiverRep is immutable")
 
+    @staticmethod
+    def _trusted(field: FieldSpec, quiver: Quiver, dims: tuple, mats: tuple) -> "QuiverRep":
+        """Skip the checks for a representation the program built to shape:
+        dims a tuple of ints, mats a tuple of Matrices over field in arrow
+        order, each dims[target] x dims[source] (validate re-checks)."""
+        obj = object.__new__(QuiverRep)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "quiver", quiver)
+        object.__setattr__(obj, "dims", dims)
+        object.__setattr__(obj, "mats", mats)
+        return obj
+
     def __reduce__(self):
         # rebuild through the singleton table: quivers compare by identity
         return (_rebuild_rep, (self.field, self.quiver.name, self.dims, self.mats))
@@ -218,8 +230,12 @@ def _rebuild_rep(field: FieldSpec, quiver_name: str, dims, mats) -> QuiverRep:
 
 
 def validate(rep: QuiverRep) -> None:
-    """Re-check all shape invariants (the constructor enforces them too)."""
-    QuiverRep(rep.field, rep.quiver, rep.dims, rep.mats)
+    """Re-check all shape invariants (the constructor enforces them too,
+    QuiverRep._trusted does not), and that dims and mats are stored as the
+    constructor stores them: tuples of ints and of Matrices."""
+    checked = QuiverRep(rep.field, rep.quiver, rep.dims, rep.mats)
+    if type(rep.dims) is not tuple or type(rep.mats) is not tuple or checked.dims != rep.dims:
+        raise ShapeError("dims and mats must be stored as tuples of ints and Matrices")
 
 
 class RepMorphism:
@@ -251,6 +267,16 @@ class RepMorphism:
 
     def __setattr__(self, name, value):
         raise AttributeError("RepMorphism is immutable")
+
+    @staticmethod
+    def _trusted(source: QuiverRep, target: QuiverRep, comps: tuple) -> "RepMorphism":
+        """Skip the checks for a morphism the program built to shape: comps a
+        tuple with one target-dims x source-dims Matrix per vertex."""
+        obj = object.__new__(RepMorphism)
+        object.__setattr__(obj, "source", source)
+        object.__setattr__(obj, "target", target)
+        object.__setattr__(obj, "comps", comps)
+        return obj
 
     @staticmethod
     def identity(rep: QuiverRep) -> "RepMorphism":
@@ -313,11 +339,11 @@ def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
     rows, offsets, total = _hom_system(v, w)
     result = []
     for vec in kernel_vectors(f, rows, total):
-        comps = [
+        comps = tuple(
             Matrix(f, nw, nv, vec[off : off + nw * nv])
             for off, nv, nw in zip(offsets, v.dims, w.dims)
-        ]
-        result.append(RepMorphism(v, w, comps))
+        )
+        result.append(RepMorphism._trusted(v, w, comps))
     return result
 
 
@@ -549,20 +575,40 @@ class IndecompVerdict:
 
 
 def _restrict_to_bases(rep: QuiverRep, bases: list[Matrix]) -> QuiverRep:
-    """Subrepresentation on given arrow-invariant column bases (one per
-    vertex, full column rank)."""
+    """Subrepresentation on arrow-invariant column bases, one per vertex.
+
+    Each basis must be canonical, as kernel_basis returns it: every column
+    ends in a 1, at a row that is 0 in every other column.  The coordinates
+    of a vector in the span are then its entries at those rows, so each
+    restricted arrow matrix X is read off M B_s with no elimination, and the
+    witness B_t X == M B_s is checked.  Raises ShapeError when a basis is
+    not canonical or a span is not arrow-invariant."""
     Q = rep.quiver
-    dims = [b.cols for b in bases]
+    unit_rows = [_unit_rows(b) for b in bases]
     mats = []
     for a, (si, ti), m in zip(Q.arrows, Q.ends, rep.mats):
         image = m @ bases[si]
-        restricted = solve(bases[ti], image)
-        if restricted is None:
+        restricted = image.select_rows(unit_rows[ti])
+        if bases[ti] @ restricted != image:
             raise ShapeError(
                 f"arrow {a.name}: candidate subspaces are not arrow-invariant"
             )
         mats.append(restricted)
-    return QuiverRep(rep.field, Q, dims, mats)
+    return QuiverRep._trusted(rep.field, Q, tuple(b.cols for b in bases), tuple(mats))
+
+
+def _unit_rows(basis: Matrix) -> list[int]:
+    """Per column, the row of its last nonzero entry, which must be a 1 in a
+    row that is 0 in every other column; raises ShapeError otherwise."""
+    one, cols = basis.field.one(), basis.cols
+    out = []
+    for j in range(cols):
+        nonzero = [i for i, x in enumerate(basis.entries[j::cols]) if x]
+        i = nonzero[-1] if nonzero else None
+        if i is None or basis.entry(i, j) != one or sum(1 for x in basis.row(i) if x) != 1:
+            raise ShapeError("basis is not a canonical kernel basis")
+        out.append(i)
+    return out
 
 
 def _split_by_endo_kernels(rep: QuiverRep, phi: RepMorphism, a_poly, b_poly):
@@ -824,27 +870,50 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
     complementary summands, ('indecomposable', True) certified, or
     ('indecomposable', False) when no rung decides.
 
-    The rungs, in order: dim End = 1; a Fitting split by a hom-basis
-    endomorphism; the exact analysis of End (_algebra_analysis); Fitting
-    splits by seeded random combinations of the basis, for what the
-    analysis leaves open (in practice Q with a noncommutative quotient).
+    The rungs, in order:
+
+    1. dim End = 1: End = k is local.
+    2. One pass over the hom basis of End, with the minimal polynomial
+       mu of each basis endomorphism phi:
+       * mu not primary: a Fitting split by phi (Fitting's lemma);
+       * mu primary of degree dim End: the generator rung.  Then
+         1, phi, ..., phi^(deg mu - 1) are independent, so End = k[phi],
+         isomorphic to k[t]/mu, a local ring.  A local End has no
+         idempotent, so no later basis element could split.
+    3. The exact analysis of End (_algebra_analysis), when no basis element
+       splits or generates: a local End that no single basis element
+       generates, or a matrix ring such as End(X + X) = M_2(k) for
+       End X = k, none of whose elements generates it, given a basis of
+       primary elements.
+    4. Fitting splits by seeded random combinations of the basis, for what
+       the analysis leaves open (in practice Q with a noncommutative
+       quotient).
     """
     endos = hom_basis(rep, rep)
     if len(endos) == 1:
         return ("indecomposable", True)
+    for phi in endos:
+        mu = min_poly(_total_matrix(phi))
+        split = coprime_split(mu)
+        if split is not None:
+            return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
+        if mu.degree == len(endos):
+            return ("indecomposable", True)
     return (
-        _fitting_split(rep, endos)
-        or _algebra_analysis(rep, endos, seed)
+        _algebra_analysis(rep, endos, seed)
         or _fitting_split(rep, _random_endos(endos, rep, seed))
         or ("indecomposable", False)
     )
 
 
 def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
-    """Layered, certified except for the last rung: dim End = 1, Fitting
-    splits by the hom-basis endomorphisms, the exact radical analysis of
-    End (a split, or a local End), seeded random Fitting splits, and an
-    uncertified "indecomposable" when none of these decides."""
+    """Layered, certified except for the last rung (see _find_splitting):
+    dim End = 1; one pass over the hom basis of End that splits by a basis
+    endomorphism with a non-primary minimal polynomial, or certifies
+    End = k[phi] local by one whose primary minimal polynomial has degree
+    dim End; the exact radical analysis of End (a split, or a local End);
+    seeded random Fitting splits; and an uncertified "indecomposable" when
+    none of these decides."""
     if v.total_dim == 0:
         raise ZeroObject("the zero representation is neither decomposable nor indecomposable")
     kind, payload = _find_splitting(v, seed)

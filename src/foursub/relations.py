@@ -359,13 +359,17 @@ def _as_rep(rho) -> QuiverRep:
     f = rho.field
     if isinstance(rho, PairRelObj):
         r1, r2 = rho.rel1, rho.rel2
-        return QuiverRep(
+        return QuiverRep._trusted(
             f,
             QUIVERS["S"],
             (rho.dim1, rho.dim2, r1.rel_dim, r2.rel_dim),
             (r1.top, r1.bottom, r2.top, r2.bottom),
         )
-    return QuiverRep(f, QUIVERS["K"], (rho.dim1, rho.rel_dim), (rho.top, rho.bottom))
+    if rho.dim1 != rho.dim2:
+        raise ShapeError("a relation is a K-representation only on a single space")
+    return QuiverRep._trusted(
+        f, QUIVERS["K"], (rho.dim1, rho.rel_dim), (rho.top, rho.bottom)
+    )
 
 
 def _from_rep(rep: QuiverRep):

@@ -5,16 +5,21 @@ import signal
 
 import pytest
 
+from foursub.canon import canon_rep, parse_tag
 from foursub.cli import main
 from foursub.fields import GF, FieldSpec, Poly, format_poly, monic_irreducibles
-from foursub.matrices import Matrix
-from foursub.quivers import QUIVERS, QuiverRep
+from foursub.matrices import Matrix, random_invertible
+from foursub.matrices import direct_sum as mat_direct_sum
+from foursub.quivers import QUIVERS, QuiverRep, decompose, direct_sum, random_conjugate
 from foursub.relations import (
+    PairRelObj,
     RelObj,
     lrel_hom_basis,
     random_pairrel,
     random_rel,
     rel_compose,
+    rel_decompose,
+    rel_direct_sum,
     rel_dual,
     rel_hom_basis,
     rel_inverse,
@@ -93,6 +98,58 @@ CENSUS_F3_CELLS = [
 CENSUS_F2_SHA256 = "b724c0b6d51dfc187dca54e01a96ff4598344e6829a63a5b2bb3b8fc984dd6d8"
 CENSUS_F3_SHA256 = "9100b21b1ab639e3fc8c6f54f53ad7f152d3739de954032bf653d67bc992e7c7"
 
+# test_decompose_pinned: recorded before decompose certified End = k[phi]
+# by a generator and read summand coordinates off their kernel bases
+DECOMPOSE_SHA256 = "53f2a2e0b99b8f86a6b5be96740247413ab723274b5b25b227c2a156b4c7949f"
+
+# the tag pools of acceptance criterion 8; each field adds family tags
+_SUM_POOLS = {
+    "F": ["F:II(0)", "F:II(1)", "F:III(0)", "F:III*(0)", "F:IV(0)", "F:IV*(0)",
+          "F:V(1)", "F:V*(0)", "F:Inj1(0)", "F:Inj2(0)", "F:Inj3(0)", "F:Inj4(0)"],
+    "S": ["S:I(1)", "S:I(2)", "S:II(0)", "S:II(1)", "S:III(0)", "S:III(1)",
+          "S:III*(0)", "S:IV(0)", "S:IV(1)", "S:IV*(0)"],
+    "D": ["D:I(1)", "D:I(2)", "D:II(0)", "D:II(1)", "D:III(0)", "D:III(1)",
+          "D:III*(0)", "D:IV(0)", "D:IV(1)", "D:IV*(0)"],
+    "K": ["K:I(1)", "K:I(2)", "K:I2(1)", "K:II(0)", "K:II(1)", "K:III(0)", "K:III(1)"],
+    "C": ["C:I(1)", "C:I(2)", "C:I2(1)", "C:II(0)", "C:II(1)", "C:III(0)", "C:III(1)"],
+    "LinRel1": ["LinRel1:I(1)", "LinRel1:I(2)", "LinRel1:II(0)", "LinRel1:II(1)",
+                "LinRel1:III(1)", "LinRel1:III(2)"],
+    "PairRel": ["PairRel:I(1)", "PairRel:II(0)", "PairRel:III(0)", "PairRel:III*(0)",
+                "PairRel:IV(0)", "PairRel:IV*(1)"],
+}
+_FAMILY_POLYS = {"F2": ("t+1",), "F5": ("t+1", "t+2"), "Q": ("t+1", "t-2")}
+# sums per category and field; decompose over Q is the slowest
+_PIN_SUMS = {"F2": 12, "F5": 12, "Q": 4}
+
+
+def _criterion_8_sums():
+    """(label, object) for _PIN_SUMS seeded sums of 1 to 4 canonical
+    indecomposables per category and field (1 to 3 over Q), each after a
+    random change of basis, as acceptance criterion 8 draws them."""
+    out = []
+    for field_name, polys in _FAMILY_POLYS.items():
+        field = FieldSpec.from_name(field_name)
+        for category, base in _SUM_POOLS.items():
+            pool = base + [f"{category}:0({s},p={p},s={s})" for p in polys for s in (1, 2)]
+            for k in range(_PIN_SUMS[field_name]):
+                rng = random.Random(f"{field_name} {category} {k}")
+                count = rng.randint(1, 3 if field_name == "Q" else 4)
+                parts = [canon_rep(parse_tag(rng.choice(pool), field), field) for _ in range(count)]
+                if isinstance(parts[0], QuiverRep):
+                    obj = random_conjugate(direct_sum(*parts), rng)
+                else:
+                    obj = parts[0]
+                    for part in parts[1:]:
+                        obj = rel_direct_sum(obj, part)
+                    g = random_invertible(field, obj.dim1, rng)
+                    if isinstance(obj, PairRelObj):
+                        g = mat_direct_sum(g, random_invertible(field, obj.dim2, rng))
+                        obj = PairRelObj(field, obj.dim1, obj.dim2, g @ obj.basis1, g @ obj.basis2)
+                    else:
+                        obj = RelObj(field, obj.dim1, obj.dim2, mat_direct_sum(g, g) @ obj.basis)
+                out.append((f"{field_name} {category} {k}", obj))
+    return out
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -166,6 +223,24 @@ class TestDecomposeClassify:
         code, out, _ = run(capsys, "decompose", lrel_file, "--format", "lines")
         assert code == 0
         assert "x" in out  # tag lines present
+
+    def test_decompose_pinned(self, capsys, tmp_path):
+        # SHA-256 over seeded criterion-8 sums of the summands that
+        # quivers.decompose / relations.rel_decompose return (format_object
+        # text and multiplicity) and of `decompose --format lines` (exit
+        # code, stdout, stderr); any change of a summand's matrices, its
+        # order or a tag changes it
+        sums = _criterion_8_sums()
+        assert len(sums) == 7 * 28
+        texts = []
+        for label, obj in sums:
+            split = rel_decompose(obj) if not isinstance(obj, QuiverRep) else decompose(obj)
+            texts.append(label + "\n")
+            texts += [f"{format_object(rep)}x {mult}\n" for rep, mult in split]
+            path = write(tmp_path, "sum.txt", obj)
+            code, out, err = run(capsys, "decompose", path, "--format", "lines")
+            texts.append(f"exit {code}\n{out}{err}")
+        assert hashlib.sha256("".join(texts).encode("ascii")).hexdigest() == DECOMPOSE_SHA256
 
 
 class TestHomIso:

@@ -13,11 +13,13 @@ from foursub.errors import (
     ShapeError,
     ZeroObject,
 )
-from foursub.fields import GF, QQ
-from foursub.matrices import Matrix, jordan_plus, kernel_basis
+from foursub import census
+from foursub.fields import GF, QQ, FieldSpec
+from foursub.matrices import Matrix, jordan_plus, kernel_basis, solve
 from foursub.quivers import (
     QUIVERS,
     Arrow,
+    IndecompVerdict,
     Quiver,
     QuiverRep,
     RepMorphism,
@@ -35,6 +37,7 @@ from foursub.quivers import (
     summand_projections,
     validate,
 )
+from foursub.relations import _as_rep, random_pairrel, random_rel
 
 F2 = GF(2)
 F3 = GF(3)
@@ -630,3 +633,180 @@ def test_analysis_splits_matrix_ring_ends(field, tag, copies):
     pieces = [quivers._restrict_to_bases(rep, b) for b in (bases_a, bases_b)]
     assert all(not piece.is_zero for piece in pieces)
     assert is_isomorphic(rep, direct_sum(*pieces))
+
+
+# -- the generator rung of _find_splitting -----------------------------------------
+
+
+def _analysis_must_not_run(rep, endos, seed):
+    raise AssertionError("_algebra_analysis ran")
+
+
+@pytest.mark.parametrize(
+    "field_name, tag",
+    [
+        ("F2", "K:0(2,p=t+1,s=2)"),
+        ("F2", "F:0(2,p=t+1,s=2)"),
+        ("F2", "K:0(2,p=t^2+t+1,s=1)"),
+        ("F2", "F:0(3,p=t+1,s=3)"),
+        ("F3", "K:0(2,p=t^2+1,s=1)"),
+        ("F3", "F:0(4,p=t^2+1,s=2)"),
+        ("F5", "K:0(2,p=t^2+2,s=1)"),
+        ("F5", "C:0(3,p=t+4,s=3)"),
+        ("Q", "K:0(2,p=t^2+1,s=1)"),
+        ("Q", "F:0(2,p=t-2,s=2)"),
+        ("Q", "D:0(3,p=t^3-2,s=1)"),
+    ],
+)
+def test_generator_rung_certifies_family_summands(monkeypatch, field_name, tag):
+    # End = k[t]/p^s, and some hom-basis endomorphism generates it: its
+    # minimal polynomial is primary of degree dim End
+    field = FieldSpec.from_name(field_name)
+    unit = canon_rep(parse_tag(tag, field), field)
+    monkeypatch.setattr(quivers, "_algebra_analysis", _analysis_must_not_run)
+    for seed in range(5):
+        rep = random_conjugate(unit, random.Random(seed))
+        assert end_dim(rep) >= 2
+        assert is_indecomposable(rep) == IndecompVerdict(True, True)
+        assert decompose(rep) == [(rep, 1)]
+
+
+def test_isotypic_sum_without_generator_reaches_the_analysis(monkeypatch):
+    # End(X + X) = M_2(F_2) for X = (1 --1,0--> 1): no element generates it
+    # (minimal polynomials have degree <= 2 < 4).  The canonical hom bases
+    # of the conjugated isotypic sums tried all held a splitting element,
+    # so hand the ladder a basis of primary elements only: I, I + E12,
+    # I + E21 and a companion of t^2+t+1.
+    x = k_rep(F2, [[1]], [[0]])
+    rep = direct_sum(x, x)
+    basis = [
+        RepMorphism(rep, rep, [Matrix.from_rows(F2, rows)] * 2)
+        for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]])
+    ]
+    assert all(h.is_valid() for h in basis)
+    calls = []
+    analysis = quivers._algebra_analysis
+
+    def recorded(rep, endos, seed):
+        calls.append(len(endos))
+        return analysis(rep, endos, seed)
+
+    monkeypatch.setattr(quivers, "hom_basis", lambda v, w: basis if v is w is rep else hom_basis(v, w))
+    monkeypatch.setattr(quivers, "_algebra_analysis", recorded)
+    kind, (bases_a, bases_b) = quivers._find_splitting(rep)
+    assert kind == "split" and calls == [4]
+    pieces = [quivers._restrict_to_bases(rep, b) for b in (bases_a, bases_b)]
+    assert [piece.dims for piece in pieces] == [(1, 1), (1, 1)]
+
+
+def _criterion_8_style_reps(field, count, seed):
+    """Conjugated sums of one or two canonical tags, family tags included."""
+    tags = ["K:I(1)", "K:II(1)", "D:II(1)", "S:III(0)", "F:II(1)", "C:III(1)",
+            "K:0(2,p=t+1,s=2)", "F:0(2,p=t+1,s=2)", "C:0(2,p=t+1,s=2)", "S:0(1,p=t+1,s=1)"]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        category = rng.choice("KDSFC")
+        pool = [t for t in tags if t[0] == category]
+        parts = [canon_rep(parse_tag(rng.choice(pool), field), field)
+                 for _ in range(rng.randint(1, 2))]
+        out.append(random_conjugate(direct_sum(*parts), rng))
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=lambda f: f.name)
+def test_generator_rung_agrees_with_the_analysis(monkeypatch, field):
+    # every verdict the one pass over the hom basis reaches (a Fitting split
+    # or End = k[phi]) is the verdict of the exact analysis of End
+    analysis = quivers._algebra_analysis
+    monkeypatch.setattr(quivers, "_algebra_analysis", _analysis_must_not_run)
+    kinds = []
+    for rep in _criterion_8_style_reps(field, 10 if field.p is None else 40, 43):
+        endos = hom_basis(rep, rep)
+        if len(endos) < 2:
+            continue
+        kind, _ = quivers._find_splitting(rep)
+        assert analysis(rep, endos, 0)[0] == kind
+        kinds.append(kind)
+    assert kinds.count("split") >= 3 and kinds.count("indecomposable") >= 3
+
+
+# -- restriction to canonical kernel bases -----------------------------------------
+
+
+def _fitting_splits(field, seed):
+    """(rep, bases) for both halves of the first split of conjugated sums
+    of two random representations."""
+    rng = random.Random(seed)
+    out = []
+    for quiver in (KQ, CQ, QUIVERS["D"], QUIVERS["S"], FQ):
+        for _ in range(4):
+            parts = [random_rep(field, quiver, [rng.randint(0, 2) for _ in quiver.vertices], rng)
+                     for _ in range(2)]
+            rep = random_conjugate(direct_sum(*parts), rng)
+            if rep.is_zero:
+                continue
+            kind, payload = quivers._find_splitting(rep)
+            if kind == "split":
+                out += [(rep, bases) for bases in payload]
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=lambda f: f.name)
+def test_restrict_to_bases_equals_solve(field):
+    splits = _fitting_splits(field, 47)
+    assert len(splits) >= 20
+    for rep, bases in splits:
+        piece = quivers._restrict_to_bases(rep, bases)
+        want = [solve(bases[ti], m @ bases[si]) for (si, ti), m in zip(rep.quiver.ends, rep.mats)]
+        assert list(piece.mats) == want
+        validate(piece)
+
+
+def test_restrict_to_bases_rejects_noncanonical_bases():
+    # a scaled kernel basis spans the same invariant subspaces, but its
+    # columns no longer end in a 1
+    rep, bases = next(
+        (rep, bases) for rep, bases in _fitting_splits(F5, 53) if bases[0].cols
+    )
+    scaled = [bases[0].scale(2)] + list(bases[1:])
+    with pytest.raises(ShapeError, match="canonical"):
+        quivers._restrict_to_bases(rep, scaled)
+
+
+def test_restrict_to_bases_rejects_subspaces_that_are_not_invariant():
+    # alpha = I and beta = diag(0, 1) do not keep the line through (1, 1)
+    rep = k_rep(F5, [[1, 0], [0, 1]], [[0, 0], [0, 1]])
+    line = Matrix.from_rows(F5, [[1], [1]])
+    with pytest.raises(ShapeError, match="arrow-invariant"):
+        quivers._restrict_to_bases(rep, [line, line])
+
+
+def test_trusted_objects_validate():
+    # QuiverRep._trusted and RepMorphism._trusted skip the checks; every
+    # object built through them passes the checked constructors
+    for field in (F2, F5, QQ):
+        for rep in _criterion_8_style_reps(field, 12, 59):
+            for h in hom_basis(rep, rep):
+                assert RepMorphism(h.source, h.target, h.comps) == h and h.is_valid()
+            for piece, _ in quivers._pieces(rep, 0):
+                validate(piece)
+        rng = random.Random(61)
+        for _ in range(10):
+            d1, d2 = rng.randint(0, 2), rng.randint(0, 2)
+            validate(_as_rep(random_rel(field, d1, d1, rng.randint(0, 2 * d1), rng)))
+            validate(_as_rep(random_pairrel(
+                field, d1, d2, rng.randint(0, d1 + d2), rng.randint(0, d1 + d2), rng
+            )))
+    for category, dims in (("K", (2, 1)), ("D", (1, 1, 1)), ("S", (1, 1, 1, 1)), ("F", (2, 1, 1, 0, 1))):
+        space = census._census_space(category, F2, dims)
+        for index in range(space.total):
+            validate(space.build(index))
+
+
+def test_validate_rejects_trusted_objects_built_off_shape():
+    rep = k_rep(F2, [[1]], [[0]])
+    with pytest.raises(ShapeError):
+        validate(QuiverRep._trusted(F2, KQ, [1, 1], rep.mats))
+    with pytest.raises(ShapeError):
+        validate(QuiverRep._trusted(F2, KQ, (1, 2), rep.mats))
