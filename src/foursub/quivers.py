@@ -644,13 +644,20 @@ def _random_endos(endos: list[RepMorphism], rep: QuiverRep, seed: int):
             yield acc
 
 
-def _fitting_split(rep: QuiverRep, candidates):
+def _fitting_split(rep: QuiverRep, candidates, end_dim: int | None = None):
     """('split', (bases_a, bases_b)) from the first candidate endomorphism
-    whose minimal polynomial is not primary (Fitting's lemma), or None."""
+    whose minimal polynomial is not primary (Fitting's lemma), or None.
+
+    Given end_dim = dim End, a candidate before any split whose primary
+    minimal polynomial has degree end_dim generates End and returns
+    ('indecomposable', True) (the generator rung of _find_splitting)."""
     for phi in candidates:
-        split = coprime_split(min_poly(_total_matrix(phi)))
+        mu = min_poly(_total_matrix(phi))
+        split = coprime_split(mu)
         if split is not None:
             return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
+        if mu.degree == end_dim:
+            return ("indecomposable", True)
     return None
 
 
@@ -892,15 +899,9 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
     endos = hom_basis(rep, rep)
     if len(endos) == 1:
         return ("indecomposable", True)
-    for phi in endos:
-        mu = min_poly(_total_matrix(phi))
-        split = coprime_split(mu)
-        if split is not None:
-            return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
-        if mu.degree == len(endos):
-            return ("indecomposable", True)
     return (
-        _algebra_analysis(rep, endos, seed)
+        _fitting_split(rep, endos, len(endos))
+        or _algebra_analysis(rep, endos, seed)
         or _fitting_split(rep, _random_endos(endos, rep, seed))
         or ("indecomposable", False)
     )

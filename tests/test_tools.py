@@ -66,3 +66,12 @@ def test_bench_pairs_summary_on_fixed_numbers():
     )
     won = bench_pairs.summarize(parent, [{"objects_per_s": v + 3} for v in (1, 2, 3, 4, 5)], better)
     assert won[0]["wins"] == 5 and won[0]["gain"] is True
+    # the same numbers gain nothing when a larger share of operations fails
+    attempts = [dict(run, attempted=100) for run in parent]
+    failing = [{"objects_per_s": v + 3, "attempted": 100, "failed": 1} for v in (1, 2, 3, 4, 5)]
+    lost = {row["metric"]: row for row in bench_pairs.summarize(attempts, failing, better)}
+    assert lost["objects_per_s"]["wins"] == 5 and lost["objects_per_s"]["gain"] is False
+    # a change that attempts more at the parent's share of failures still gains
+    attempts = [dict(run, failed=1) for run in attempts]
+    more = [dict(run, attempted=200, failed=2) for run in failing]
+    assert bench_pairs.summarize(attempts, more, better)[0]["gain"] is True

@@ -12,8 +12,10 @@ For every metric the summary gives the median and quartiles of each side,
 the pairs the change won (by the ``better`` direction that BENCHMARK.json
 in CHANGE states for the metric), and the parent's quartile distance.  A
 gain holds when the change wins at least nine tenths of the pairs and the
-medians differ in its favour by more than that distance.  The raw results
-of every run go to stderr as they arrive, one JSON line each.
+medians differ in its favour by more than that distance, and no larger
+share of the change's operations fails (failed over attempted, summed over
+its runs).  Every run has perfbench's own fixed length, untraced.  The raw
+results of every run go to stderr as they arrive, one JSON line each.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def run_once(checkout: Path, args) -> dict:
     """One benchmark run in checkout: its metrics as {name: value}, plus
     the attempted and failed operation counts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-           str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           str(args.seed)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
@@ -51,11 +53,19 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def failed_share(runs: list) -> float:
+    """Failed operations over attempted ones, summed over runs (0 if none)."""
+    attempted = sum(run.get("attempted", 0) for run in runs)
+    return sum(run.get("failed", 0) for run in runs) / attempted if attempted else 0.0
+
+
 def summarize(parent: list, change: list, better: dict) -> list:
     """One row per metric that both sides report, runs given in pair order.
 
     A pair is a win when the change is strictly better; a metric without a
-    direction gets no wins and no gain."""
+    direction gets no wins and no gain, and no metric gains when a larger
+    share of the change's operations fails."""
+    more_failures = failed_share(change) > failed_share(parent)
     rows = []
     for name in parent[0]:
         if name not in change[0]:
@@ -69,7 +79,8 @@ def summarize(parent: list, change: list, better: dict) -> list:
         if direction is not None:
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-            gain = wins >= 0.9 * len(p) and sign * (c_med - p_med) > p_q3 - p_q1
+            gain = (wins >= 0.9 * len(p) and sign * (c_med - p_med) > p_q3 - p_q1
+                    and not more_failures)
         rows.append({
             "metric": name, "pairs": len(p), "parent": (p_q1, p_med, p_q3),
             "change": (c_q1, c_med, c_q3), "wins": wins, "parent_iqr": p_q3 - p_q1,
@@ -98,8 +109,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
