@@ -751,10 +751,8 @@ def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
     is old arm perm[i] (0-based arm indices)."""
     if rep.quiver.name != "F":
         raise InvalidTag("arm permutation applies to four-subspace representations")
-    names = ("alpha", "beta", "gamma", "delta")
     dims = (rep.dims[0],) + tuple(rep.dims[1 + p] for p in perm)
-    mats = {names[i]: rep.mat(names[p]) for i, p in enumerate(perm)}
-    return QuiverRep(rep.field, rep.quiver, dims, mats)
+    return QuiverRep._trusted(rep.field, rep.quiver, dims, tuple(rep.mats[p] for p in perm))
 
 
 def _embed(category: str, obj):

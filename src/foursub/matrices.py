@@ -9,20 +9,27 @@ step, so results are exact.
 Row reduction has one elimination per kind of row:
 
 * over F_2, rows are int bitmasks, bit j for column j (reduce_bits);
-* over every other field, rows are Python lists of field values
-  (reduce_rows), and each row is updated only at the pivot row's nonzero
-  columns, since hom systems are sparse.
+* over odd prime fields, rows are Python lists of residues (reduce_rows);
+* over ℚ, rows are handed in as lists of Fractions and reduced as
+  primitive integer vectors (_reduce_rationals, which reduce_rows calls),
+  then written back as Fractions.
+
+The list eliminations update each row only at the pivot row's nonzero
+columns, since hom systems are sparse.
 
 numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
 product or sum of products can overflow: products, minimal polynomials
 and polynomial evaluation.  Every other field takes the Python-integer or
-Fraction path.  rref picks the elimination for a Matrix; kernel_vectors
+Fraction path; products and minimal polynomials over ℚ stay on
+Fractions.  rref picks the elimination for a Matrix; kernel_vectors
 returns the canonical null-space basis of a system handed in as such
 rows, without building a Matrix.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +39,8 @@ from .fields import FieldSpec, Poly, is_irreducible, poly_power
 
 # numpy int64 stays exact as long as p*p*cols cannot overflow
 _NP_PRIME_LIMIT = 1 << 20
+# shared by every row _reduce_rationals writes back
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 class Matrix:
@@ -330,11 +339,13 @@ def _rref_rows(m: Matrix) -> RrefResult:
 def reduce_rows(work: list, p: Optional[int]) -> tuple:
     """Bring a list of equally long rows to reduced row echelon form, and
     return its pivot columns.  The rows hold residues mod the prime p, or
-    Fractions when p is None (the rationals).
+    Fractions when p is None (the rationals, _reduce_rationals).
 
     The rows are updated in place, so they must be distinct lists.  A row
     is cleared only at the pivot row's nonzero columns: left of the pivot
     column the pivot row is zero, and hom systems are sparse."""
+    if p is None:
+        return _reduce_rationals(work)
     rows, cols = len(work), len(work[0]) if work else 0
     r = 0
     pivots = []
@@ -350,26 +361,86 @@ def reduce_rows(work: list, p: Optional[int]) -> tuple:
             continue
         work[r], work[sel] = work[sel], work[r]
         row_r = work[r]
-        piv = row_r[c]
-        if p is None:
-            nonzero = [(j, row_r[j] / piv) for j in range(c, cols) if row_r[j]]
-        else:
-            inv = pow(piv, p - 2, p)
-            nonzero = [(j, row_r[j] * inv % p) for j in range(c, cols) if row_r[j]]
+        inv = pow(row_r[c], p - 2, p)
+        nonzero = [(j, row_r[j] * inv % p) for j in range(c, cols) if row_r[j]]
         for j, y in nonzero:
             row_r[j] = y
         for i in range(rows):
             row_i = work[i]
             factor = row_i[c]
             if factor and i != r:
-                if p is None:
-                    for j, y in nonzero:
-                        row_i[j] -= factor * y
-                else:
-                    for j, y in nonzero:
-                        row_i[j] = (row_i[j] - factor * y) % p
+                for j, y in nonzero:
+                    row_i[j] = (row_i[j] - factor * y) % p
         pivots.append(c)
         r += 1
+    return tuple(pivots)
+
+
+def _reduce_rationals(work: list) -> tuple:
+    """reduce_rows over the rationals, without Fractions until the end
+    (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).
+
+    Each row becomes a primitive integer vector: times the lcm of its
+    denominators (skipped when they are all 1), over the gcd of its
+    entries.  Row i is cleared at pivot a of row r by
+    (a*row_i - b*row_r) / gcd(a, b), b = row_i[c]; when a divides b no
+    entry of row i is scaled, so only the pivot row's nonzero columns
+    change.  Each updated row is divided by its content again, which keeps
+    the integers small.  The finished rows go back into the caller's lists
+    as Fractions over their pivots; the reduced form is unique, so they
+    are the ones a Fraction elimination gives."""
+    rows, cols = len(work), len(work[0]) if work else 0
+    if not rows or not cols:
+        return ()
+    ints = []
+    for row in work:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*{d for _, d in ratios})
+        if den == 1:
+            v = [n for n, _ in ratios]
+        else:
+            v = [n * (den // d) for n, d in ratios]
+        g = gcd(*v)
+        ints.append([x // g for x in v] if g > 1 else v)
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        sel = -1
+        for i in range(r, rows):
+            if ints[i][c]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        ints[r], ints[sel] = ints[sel], ints[r]
+        row_r = ints[r]
+        a = row_r[c]
+        nonzero = [(j, row_r[j]) for j in range(c, cols) if row_r[j]]
+        for i in range(rows):
+            row_i = ints[i]
+            b = row_i[c]
+            if not b or i == r:
+                continue
+            g = gcd(a, b)
+            scale, factor = a // g, b // g
+            if scale == 1 or scale == -1:
+                factor *= scale
+            else:
+                row_i = ints[i] = [scale * x for x in row_i]
+            for j, y in nonzero:
+                row_i[j] -= factor * y
+            g = gcd(*row_i)
+            if g > 1:
+                ints[i] = [x // g for x in row_i]
+        pivots.append(c)
+        r += 1
+    for row, v, c in zip(work, ints, pivots):
+        a = v[c]
+        row[:] = [_Q_ONE if x == a else Fraction(x, a) if x else _Q_ZERO for x in v]
+    for row in work[r:]:
+        row[:] = [_Q_ZERO] * cols
     return tuple(pivots)
 
 
@@ -720,8 +791,6 @@ def random_matrix(field: FieldSpec, rows: int, cols: int, rng) -> Matrix:
         return Matrix(
             field, rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)]
         )
-    from fractions import Fraction
-
     return Matrix(
         field,
         rows,

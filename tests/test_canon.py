@@ -1,6 +1,7 @@
 """Canonical families: construction, tag syntax, indecomposability,
 distinctness, and classification roundtrips."""
 
+import itertools
 import random
 import warnings
 
@@ -35,6 +36,7 @@ from foursub.quivers import (
     is_indecomposable,
     is_isomorphic,
     random_conjugate,
+    validate,
 )
 from foursub.relations import (
     lrel_is_isomorphic,
@@ -391,6 +393,12 @@ def test_arm_permute_composition_and_identity():
     p1, p2 = (1, 2, 3, 0), (2, 0, 3, 1)
     composed = tuple(p1[i] for i in p2)
     assert arm_permute(arm_permute(rep, p1), p2) == arm_permute(rep, composed)
+    # arm_permute builds its result unchecked; validate re-checks every one
+    for perm in itertools.permutations(range(4)):
+        permuted = arm_permute(rep, perm)
+        validate(permuted)
+        assert permuted.dims == (rep.dims[0],) + tuple(rep.dims[1 + p] for p in perm)
+        assert permuted.mats == tuple(rep.mat(("alpha", "beta", "gamma", "delta")[p]) for p in perm)
 
 
 def test_arm_permute_conjugate_still_classifies():

@@ -8,12 +8,21 @@ import pytest
 from foursub.canon import canon_rep, parse_tag
 from foursub.cli import main
 from foursub.fields import GF, FieldSpec, Poly, format_poly, monic_irreducibles
-from foursub.matrices import Matrix, random_invertible
+from foursub.matrices import Matrix, random_invertible, rref
 from foursub.matrices import direct_sum as mat_direct_sum
-from foursub.quivers import QUIVERS, QuiverRep, decompose, direct_sum, random_conjugate
+from foursub.quivers import (
+    QUIVERS,
+    QuiverRep,
+    _hom_system,
+    decompose,
+    direct_sum,
+    hom_basis,
+    random_conjugate,
+)
 from foursub.relations import (
     PairRelObj,
     RelObj,
+    _as_rep,
     lrel_hom_basis,
     random_pairrel,
     random_rel,
@@ -101,6 +110,8 @@ CENSUS_F3_SHA256 = "9100b21b1ab639e3fc8c6f54f53ad7f152d3739de954032bf653d67bc992
 # test_decompose_pinned: recorded before decompose certified End = k[phi]
 # by a generator and read summand coordinates off their kernel bases
 DECOMPOSE_SHA256 = "53f2a2e0b99b8f86a6b5be96740247413ab723274b5b25b227c2a156b4c7949f"
+# test_q_hom_and_rref_pinned: recorded while rref reduced rows of Fractions
+Q_HOM_RREF_SHA256 = "64226364fc7161267c3d1ea702af9ef298ba141ef19db7b12aad4d071c51e321"
 
 # the tag pools of acceptance criterion 8; each field adds family tags
 _SUM_POOLS = {
@@ -241,6 +252,30 @@ class TestDecomposeClassify:
             code, out, err = run(capsys, "decompose", path, "--format", "lines")
             texts.append(f"exit {code}\n{out}{err}")
         assert hashlib.sha256("".join(texts).encode("ascii")).hexdigest() == DECOMPOSE_SHA256
+
+
+def test_q_hom_and_rref_pinned():
+    # SHA-256 over the seeded criterion-8 sums over Q (relations as their
+    # S- or K-representations) of hom_basis(x, x) and of the rref, rank and
+    # pivot columns of every arrow matrix and of the hom system itself:
+    # the exact rational systems that decompose and classify reduce
+    texts = []
+    for label, obj in _criterion_8_sums():
+        if not label.startswith("Q "):
+            continue
+        rep = obj if isinstance(obj, QuiverRep) else _as_rep(obj)
+        rows, _, total = _hom_system(rep, rep)
+        system = Matrix(rep.field, len(rows), total, [x for row in rows for x in row])
+        texts.append(label + "\n")
+        for m in (*rep.mats, system):
+            red, rank, pivots = rref(m)
+            texts.append(f"rref {m.rows}x{m.cols} rank {rank} pivots {pivots}: "
+                         + " ".join(map(str, red.entries)) + "\n")
+        for h in hom_basis(rep, rep):
+            texts.append("hom " + " | ".join(
+                " ".join(map(str, c.entries)) for c in h.comps) + "\n")
+    assert len(texts) > 28
+    assert hashlib.sha256("".join(texts).encode("ascii")).hexdigest() == Q_HOM_RREF_SHA256
 
 
 class TestHomIso:

@@ -27,6 +27,7 @@ from foursub.matrices import (
     poly_eval_matrix,
     random_invertible,
     random_matrix,
+    reduce_rows,
     rref,
     solve,
     vstack,
@@ -313,16 +314,84 @@ def test_rref_matches_sympy(field):
             ]
 
 
+def _wide_q_matrices(rng):
+    """Seeded rational matrices past random_matrix's +-3/<=3 entries, as
+    (label, columns, rows): numerators near 2^40 over denominators up to 10^6,
+    negative pivots, duplicate and zero rows, integral rows mixed with
+    fractional ones, rank-deficient products, and 0xn and nx0 shapes."""
+
+    def wide():
+        num = rng.choice((-1, 1)) * (2**40 + rng.randint(-10**6, 10**6))
+        return Fraction(num, rng.randint(1, 10**6)) if rng.random() < 0.8 else Fraction(0)
+
+    def small():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7, 10**6)))
+
+    cases = []
+    for rows, cols in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 7), (7, 5), (8, 8)):
+        cases.append(("wide", cols, [[wide() for _ in range(cols)] for _ in range(rows)]))
+        rank = max(1, min(rows, cols) - 2)
+        a = [[wide() for _ in range(rank)] for _ in range(rows)]
+        b = [[small() for _ in range(cols)] for _ in range(rank)]
+        cases.append(("wide product", cols, [
+            [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a
+        ]))
+        negative = [[small() for _ in range(cols)] for _ in range(rows)]
+        for j, row in enumerate(negative):
+            row[min(j, cols - 1)] = -abs(wide()) or Fraction(-1)
+        cases.append(("negative pivots", cols, negative))
+        integral = [[Fraction(rng.randint(-2**40, 2**40)) for _ in range(cols)] for _ in range(rows)]
+        cases.append(("integral", cols, integral))
+        mixed = [row if k % 2 else [small() for _ in range(cols)] for k, row in enumerate(integral)]
+        cases.append(("integral and fractional", cols, mixed))
+        base = [[wide() for _ in range(cols)] for _ in range(rows)]
+        dup = [list(base[0]), [Fraction(0)] * cols] + [list(r) for r in base] + [list(base[-1])]
+        rng.shuffle(dup)
+        cases.append(("duplicate and zero rows", cols, dup))
+    cases.append(("zero", 4, [[Fraction(0)] * 4 for _ in range(3)]))
+    cases.append(("0x4", 4, []))
+    cases.append(("3x0", 0, [[], [], []]))
+    return cases
+
+
+def test_rref_q_matches_sympy_past_small_entries():
+    # the rational elimination works on primitive integer rows; rref,
+    # reduce_rows in place and kernel_vectors must give sympy's exact forms
+    from sympy import Matrix as SymMatrix, Rational
+
+    rng = random.Random(2026)
+    for label, cols, data in _wide_q_matrices(rng):
+        rows = len(data)
+        m = Matrix(QQ, rows, cols, [x for row in data for x in row])
+        sym = SymMatrix(rows, cols, [Rational(x.numerator, x.denominator) for x in m.entries])
+        sym_red, sym_pivots = sym.rref()
+        want = tuple(Fraction(int(x.p), int(x.q)) for x in sym_red)
+        red, rank, pivots = rref(m)
+        assert (red.entries, pivots, rank) == (want, sym_pivots, len(sym_pivots)), label
+        work = [list(row) for row in data]
+        lists = list(work)
+        assert reduce_rows(work, None) == sym_pivots, label
+        assert tuple(x for row in work for x in row) == want, label
+        assert sorted(map(id, work)) == sorted(map(id, lists)), label  # the caller's lists
+        assert all(type(x) is Fraction for row in work for x in row), label
+        kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in sym.nullspace()]
+        assert kernel_vectors(QQ, [list(row) for row in data], cols) == kernel, label
+
+
 @st.composite
 def small_matrix(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    field = GF(p)
+    p = draw(st.sampled_from([2, 3, 5, None]))
     rows = draw(st.integers(0, 4))
     cols = draw(st.integers(0, 4))
+    if p is None:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 10**6]))
+        return Matrix(QQ, rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                                    max_size=rows * cols)))
     entries = draw(
         st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
     )
-    return Matrix(field, rows, cols, entries)
+    return Matrix(GF(p), rows, cols, entries)
 
 
 @given(small_matrix())

@@ -51,19 +51,39 @@ def test_bench_pairs_summary_on_fixed_numbers():
     parent = [{"objects_per_s": v, "op_p50_ms": 10.0 - v, "failed": 0} for v in (1, 2, 3, 4, 5)]
     change = [{"objects_per_s": v, "op_p50_ms": 10.0 - v + 2, "failed": 0} for v in (9, 8, 7, 6, 2)]
     better = {"objects_per_s": "higher", "op_p50_ms": "lower"}
-    rows = {row["metric"]: row for row in bench_pairs.summarize(parent, change, better)}
+    bounds = {"objects_per_s": 0.25}
+    rows = {row["metric"]: row for row in bench_pairs.summarize(parent, change, better, bounds)}
     assert rows["objects_per_s"] == {
         "metric": "objects_per_s", "pairs": 5, "parent": (2, 3, 4), "change": (6, 7, 8),
         "wins": 4, "parent_iqr": 2, "gain": False,  # 4 of 5 pairs is under nine tenths
+        "regression": False,
     }
     op = rows["op_p50_ms"]
     # a tie (6 against 6) is no win
     assert (op["parent"], op["change"], op["wins"], op["gain"]) == ((6, 7, 8), (4, 5, 6), 3, False)
+    assert op["regression"] is None  # no bound given
     assert rows["failed"]["wins"] is None and rows["failed"]["gain"] is None
+    assert rows["failed"]["regression"] is None
     text = bench_pairs.format_summary([rows["objects_per_s"]])
     assert text.splitlines()[1] == (
-        "objects_per_s: 3 (2-4) -> 7 (6-8), wins 4/5, parent iqr 2, gain no"
+        "objects_per_s: 3 (2-4) -> 7 (6-8), wins 4/5, parent iqr 2, gain no, regression no"
     )
+    # a median worse than the parent's by more than the metric's bound
+    # regresses: 111 against 100 breaches a 10% bound, 109 holds it
+    rss = [{"peak_rss_mb": v} for v in (98, 99, 100, 101, 102)]
+    lower, rss_bound = {"peak_rss_mb": "lower"}, {"peak_rss_mb": 0.1}
+    breached = bench_pairs.summarize(rss, [{"peak_rss_mb": v + 11} for v in (98, 99, 100, 101, 102)],
+                                     lower, rss_bound)[0]
+    assert (breached["change"][1], breached["regression"]) == (111, True)
+    assert bench_pairs.format_summary([breached]).endswith("gain no, regression yes\n")
+    held = bench_pairs.summarize(rss, [{"peak_rss_mb": v + 9} for v in (98, 99, 100, 101, 102)],
+                                 lower, rss_bound)[0]
+    assert (held["change"][1], held["regression"]) == (109, False)
+    # directions and bounds as this repository's BENCHMARK.json states them
+    better, bounds = bench_pairs.metric_specs(ROOT)
+    assert (better["objects_per_s"], better["peak_rss_mb"]) == ("higher", "lower")
+    assert (bounds["objects_per_s"], bounds["peak_rss_mb"]) == (0.25, 0.1)
+    assert "matrices.rref.q.calls" in better and "matrices.rref.q.calls" not in bounds
     won = bench_pairs.summarize(parent, [{"objects_per_s": v + 3} for v in (1, 2, 3, 4, 5)], better)
     assert won[0]["wins"] == 5 and won[0]["gain"] is True
     # the same numbers gain nothing when a larger share of operations fails

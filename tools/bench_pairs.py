@@ -14,7 +14,10 @@ in CHANGE states for the metric), and the parent's quartile distance.  A
 gain holds when the change wins at least nine tenths of the pairs and the
 medians differ in its favour by more than that distance, and no larger
 share of the change's operations fails (failed over attempted, summed over
-its runs).  Every run has perfbench's own fixed length, untraced.  The raw
+its runs).  A metric regresses when the change's median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json, a share of
+the parent's median; metrics without a bound get no verdict.  Every run
+has perfbench's own fixed length, untraced.  The raw
 results of every run go to stderr as they arrive, one JSON line each.
 """
 
@@ -39,10 +42,13 @@ def run_once(checkout: Path, args) -> dict:
     return dict(values, attempted=result["attempted"], failed=result["failed"])
 
 
-def directions(checkout: Path) -> dict:
-    """{metric: "lower" or "higher"} from BENCHMARK.json in checkout."""
+def metric_specs(checkout: Path) -> tuple:
+    """From BENCHMARK.json in checkout: ({metric: "lower" or "higher"},
+    {metric: bound}), the bounds of the metrics that state one."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    metrics = spec["end_to_end"] + spec["per_layer"]
+    better = {m["name"]: m["better"] for m in metrics}
+    return better, {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
 
 def quartiles(values: list) -> tuple:
@@ -59,12 +65,15 @@ def failed_share(runs: list) -> float:
     return sum(run.get("failed", 0) for run in runs) / attempted if attempted else 0.0
 
 
-def summarize(parent: list, change: list, better: dict) -> list:
+def summarize(parent: list, change: list, better: dict, bounds: dict | None = None) -> list:
     """One row per metric that both sides report, runs given in pair order.
 
     A pair is a win when the change is strictly better; a metric without a
     direction gets no wins and no gain, and no metric gains when a larger
-    share of the change's operations fails."""
+    share of the change's operations fails.  A metric with a direction and
+    a bound regresses when the change's median is worse than the parent's
+    by more than bound times the parent's median."""
+    bounds = bounds or {}
     more_failures = failed_share(change) > failed_share(parent)
     rows = []
     for name in parent[0]:
@@ -75,29 +84,34 @@ def summarize(parent: list, change: list, better: dict) -> list:
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
         direction = better.get(name)
-        wins = gain = None
+        wins = gain = regression = None
         if direction is not None:
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
             gain = (wins >= 0.9 * len(p) and sign * (c_med - p_med) > p_q3 - p_q1
                     and not more_failures)
+            if name in bounds:
+                regression = sign * (p_med - c_med) > bounds[name] * abs(p_med)
         rows.append({
             "metric": name, "pairs": len(p), "parent": (p_q1, p_med, p_q3),
             "change": (c_q1, c_med, c_q3), "wins": wins, "parent_iqr": p_q3 - p_q1,
-            "gain": gain,
+            "gain": gain, "regression": regression,
         })
     return rows
 
 
 def format_summary(rows: list) -> str:
-    lines = ["metric: parent median (q1-q3) -> change median (q1-q3), wins, parent iqr, gain"]
+    lines = ["metric: parent median (q1-q3) -> change median (q1-q3), wins, parent iqr, gain, "
+             "regression"]
     for row in rows:
         (pq1, pm, pq3), (cq1, cm, cq3) = row["parent"], row["change"]
         wins = "-" if row["wins"] is None else f"{row['wins']}/{row['pairs']}"
-        gain = "-" if row["gain"] is None else ("yes" if row["gain"] else "no")
+        gain, regression = ("-" if row[key] is None else ("yes" if row[key] else "no")
+                            for key in ("gain", "regression"))
         lines.append(
             f"{row['metric']}: {pm:.6g} ({pq1:.6g}-{pq3:.6g}) -> {cm:.6g} ({cq1:.6g}-{cq3:.6g}), "
-            f"wins {wins}, parent iqr {row['parent_iqr']:.6g}, gain {gain}"
+            f"wins {wins}, parent iqr {row['parent_iqr']:.6g}, gain {gain}, "
+            f"regression {regression}"
         )
     return "\n".join(lines) + "\n"
 
@@ -116,7 +130,7 @@ def main(argv=None) -> int:
             result = run_once(getattr(args, side), args)
             runs[side].append(result)
             print(json.dumps({"pair": k, "side": side, **result}), file=sys.stderr, flush=True)
-    rows = summarize(runs["parent"], runs["change"], directions(args.change))
+    rows = summarize(runs["parent"], runs["change"], *metric_specs(args.change))
     sys.stdout.write(format_summary(rows))
     return 0
 
