@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import InvalidTag, ParseError, UnclassifiedSummand
 from .fields import FieldSpec, Poly, format_poly, monic_irreducibles, parse_poly
-from .functors import FUNCTOR_SOURCES, _s_vertices, apply_functor
+from .functors import FUNCTOR_SOURCES, _s_vertices, apply_functor, in_image
 from .matrices import (
     Matrix,
     companion,
@@ -725,7 +725,7 @@ def _all_tags_with_embedded_total(
         max_n = 0 if type_name.startswith("Inj") else total + 1
         for n in range(min_n, max_n + 1):
             shape = shape_fn(n)
-            emb_total = _embedded_total(category, shape)
+            emb_total = sum(_embedded_dims(category, shape))
             if emb_total > total:
                 break
             if emb_total == total:
@@ -737,13 +737,13 @@ def _all_tags_with_embedded_total(
     return out
 
 
-def _embedded_total(category: str, shape: tuple) -> int:
-    """Total dimension of the embedded four-subspace representation: functor
-    1 takes S-dims (s1, s2, s3, s4) to (s1 + s2, s1, s2, s3, s4)."""
+def _embedded_dims(category: str, shape: tuple) -> tuple:
+    """Dims of the embedded four-subspace representation: functor 1 takes
+    S-dims (s1, s2, s3, s4) to (s1 + s2, s1, s2, s3, s4)."""
     if category == "F":
-        return sum(shape)
+        return shape
     s1, s2, s3, s4 = _s_vertices(category, shape)
-    return 2 * (s1 + s2) + s3 + s4
+    return (s1 + s2, s1, s2, s3, s4)
 
 
 def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
@@ -755,11 +755,24 @@ def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
     return QuiverRep._trusted(rep.field, rep.quiver, dims, tuple(rep.mats[p] for p in perm))
 
 
+_FUNCTOR_OF = {source: i for i, source in FUNCTOR_SOURCES.items()}
+
+
 def _embed(category: str, obj):
     if category == "F":
         return obj
-    index = {source: i for i, source in FUNCTOR_SOURCES.items()}
-    return apply_functor(index[category], obj)
+    return apply_functor(_FUNCTOR_OF[category], obj)
+
+
+def trial_preimage(category: str, perm: tuple, target: QuiverRep):
+    """An object X of the category with arm_permute(_embed(X), perm)
+    isomorphic to target, or None when there is none: arm_permute(target,
+    perm^-1), pulled back into the category by functors.in_image.  The
+    embedding is full and faithful, so X is unique up to isomorphism."""
+    rep = arm_permute(target, tuple(perm.index(i) for i in range(4)))
+    if category == "F":
+        return rep
+    return in_image(_FUNCTOR_OF[category], rep).witness
 
 
 @lru_cache(maxsize=4096)
@@ -789,39 +802,58 @@ def _category_of(obj) -> str:
     raise InvalidTag(f"cannot classify objects of type {type(obj).__name__}")
 
 
-def classify_indecomposable(obj, candidates=None) -> IndecompTag:
-    """Match a single indecomposable object against its category's table.
+def table_trials(category: str, shape: tuple, field: FieldSpec, candidates=None):
+    """The table entries an indecomposable of the given shape is matched
+    against, in the order classify_indecomposable tries them, as
+    (tag, perm, entry) triples; the first that matches names the object.
 
-    Stage one compares inside the category (exact table membership); stage
-    two compares the embedded four-subspace representations under all arm
-    permutations, which absorbs the symmetries the tables quotient out.
-    Both stages test for an invertible hom-basis element.  Canonical
-    representatives are indecomposable, and so are their embeddings, so
-    each test is exact whatever obj is.
+    Stage one: each tag of the shape, with perm None and entry its
+    canonical representative; the object matches when it is isomorphic to
+    entry.  Stage two: each tag whose embedded four-subspace representation
+    has the object's embedded total dimension, with each arm permutation
+    perm that takes the object's embedded dims to those of entry, the
+    embedded canonical representative; the object X matches when
+    arm_permute(_embed(X), perm) is isomorphic to entry.  Stage two absorbs
+    the symmetries the tables quotient out.  Its tags and permutations are
+    listed only once stage one is exhausted.
+    """
+    for tag in _tags_for_shape(category, shape, field, candidates):
+        yield tag, None, canon_rep(tag, field)
+    centre, *arms = dims = _embedded_dims(category, shape)
+    # each permutation with the dims arm_permute gives it, so that only
+    # the permutations matching a target's dims are tried
+    perms = [
+        (perm, (centre,) + tuple(arms[p] for p in perm))
+        for perm in itertools.permutations(range(4))
+    ]
+    for tag in _all_tags_with_embedded_total(category, sum(dims), field, candidates):
+        target = _embedded_canon(tag, field)
+        for perm, permuted in perms:
+            if permuted == target.dims:
+                yield tag, perm, target
+
+
+def classify_indecomposable(obj, candidates=None) -> IndecompTag:
+    """Match a single indecomposable object against its category's table:
+    the first of table_trials that an invertible hom-basis element
+    confirms.  Canonical representatives are indecomposable, and so are
+    their embeddings, so each test is exact whatever obj is.
     """
     from .quivers import _iso_to_indecomposable
 
     category = _category_of(obj)
     field = obj.field
     shape = _object_shape(category, obj)
-    for tag in _tags_for_shape(category, shape, field, candidates):
-        if _basis_iso(category, obj, canon_rep(tag, field)):
+    embedded = None
+    for tag, perm, entry in table_trials(category, shape, field, candidates):
+        if perm is None:
+            found = _basis_iso(category, obj, entry)
+        else:
+            if embedded is None:
+                embedded = _embed(category, obj)
+            found = _iso_to_indecomposable(arm_permute(embedded, perm), entry) is not None
+        if found:
             return tag
-    embedded = _embed(category, obj)
-    total, (centre, *arms) = embedded.total_dim, embedded.dims
-    # each permutation with the dims arm_permute gives it, so that only
-    # the permutations matching a target's dims are built
-    perms = [
-        (perm, (centre,) + tuple(arms[p] for p in perm))
-        for perm in itertools.permutations(range(4))
-    ]
-    for tag in _all_tags_with_embedded_total(category, total, field, candidates):
-        target = _embedded_canon(tag, field)
-        for perm, dims in perms:
-            if dims != target.dims:
-                continue
-            if _iso_to_indecomposable(arm_permute(embedded, perm), target) is not None:
-                return tag
     raise UnclassifiedSummand(
         f"no table entry matches an indecomposable of shape {shape} over {field.name}"
     )

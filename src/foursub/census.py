@@ -4,7 +4,8 @@ For a fixed category and dimension vector, enumerate *every* object —
 all matrix assignments for a quiver shape, or all subspaces (pairs of
 subspaces) for the relation categories — split them into isomorphism
 classes, decide indecomposability of each class by counting (see below),
-and match each indecomposable class against the canonical tag tables.
+and name each indecomposable class by the canonical tag tables, looking
+the table entries up in the classes (see the end).
 
 The isomorphism classes at a fixed dimension vector are the orbits of
 the group G = prod_v GL(d_v, q) acting by change of basis, so the census
@@ -60,6 +61,18 @@ is indecomposable exactly when q^e - |Aut X| is a power of q:
   more factors it is at least x_1 + x_2 - 1 >= 3.
 
 So one hom system (dim End X) and integer arithmetic decide each class.
+
+The tag is found by orbit membership, with no isomorphism test.
+canon.table_trials lists the table entries an indecomposable X is matched
+against, in order, and the first that matches names X.  Each entry names
+one object Y of the cell up to isomorphism: a canonical representative,
+or the preimage of a permuted embedded representative (canon.trial_preimage;
+the embeddings are full and faithful, so Y is unique up to isomorphism and
+exists exactly when some object matches the entry).  X matches the entry
+exactly when X is isomorphic to Y, that is, when Y lies in the orbit of X:
+when the label of Y's number (_RelationSpace.number, _QuiverSpace.number)
+is the number of X.  classify_indecomposable decides the same entries in
+the same order by hom-basis tests, so the tags are the ones it gives.
 """
 
 from __future__ import annotations
@@ -77,14 +90,8 @@ from typing import Optional
 
 import numpy as np
 
-from .canon import IndecompTag, classify_indecomposable
-from .errors import (
-    ShapeError,
-    TooLarge,
-    UnclassifiedSummand,
-    UnmatchedClass,
-    UnsupportedField,
-)
+from .canon import IndecompTag, _object_shape, table_trials, trial_preimage
+from .errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from .fields import FieldSpec
 # rref is unused here but stays bound: perfbench's tracer test checks that
 # wrapping matrices.rref also reaches this copied binding.
@@ -421,6 +428,18 @@ class _QuiverSpace(_MixedRadix):
         )
         return QuiverRep._trusted(self.field, self.quiver, self.dims, mats)
 
+    def number(self, rep: QuiverRep) -> int:
+        """The number of rep, the inverse of build."""
+        if rep.quiver is not self.quiver or rep.dims != self.dims:
+            raise ShapeError(f"{rep.quiver.name} dims {rep.dims} is not in this cell")
+        q, index = self.field.p, 0
+        for m, size in zip(rep.mats, self.sizes):
+            digit = 0
+            for entry in m.entries:
+                digit = digit * q + entry
+            index = index * size + digit
+        return index
+
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     """x^(q-2) mod the prime q, entry by entry: the inverses of the nonzero
@@ -515,14 +534,16 @@ def _image_numbers(g: np.ndarray, stack: np.ndarray, q: int, start_of) -> np.nda
 
 
 class _RelationSpace(_MixedRadix):
-    """Tuples of subspaces of k^n (one for LinRel1, two for PairRel), each
-    subspace a factor numbered by its position in _echelon_bases order.
+    """Tuples of subspaces of k^n = V1 + V2, dims the dimensions of V1 and
+    V2 (one subspace for LinRel1, two for PairRel), each subspace a factor
+    numbered by its position in _echelon_bases order.
     Each generator acts on k^n as an invertible matrix G, by
     basis -> column_echelon(G basis), that is, on the echelon rows spanning
     the subspace, rows -> rref(rows G^T); its table serves every factor."""
 
-    def __init__(self, field: FieldSpec, n: int, group, arity: int, make):
-        self.field, self.n, self.make = field, n, make
+    def __init__(self, field: FieldSpec, dims, group, arity: int, make):
+        self.field, self.dims, self.make = field, dims, make
+        self.n = n = sum(dims)
         q = field.p
         self.shapes = []  # (number of the first subspace, pivots, free slots)
         offset = 0
@@ -530,6 +551,7 @@ class _RelationSpace(_MixedRadix):
             free = _echelon_free_positions(n, pivots)
             self.shapes.append((offset, pivots, free))
             offset += q ** len(free)
+        self.shape_of = {pivots: (start, free) for start, pivots, free in self.shapes}
         self.offsets = [start for start, _, _ in self.shapes]
         tables = self._tables(q, group)
         super().__init__(
@@ -573,6 +595,27 @@ class _RelationSpace(_MixedRadix):
             bases.append(_basis(self.field, self.n, rows))
         return self.make(*bases)
 
+    def number(self, obj) -> int:
+        """The number of obj, the inverse of build.  Raises ShapeError when
+        obj is not in this cell or a basis is not in the canonical echelon
+        form that build gives (RelObj and PairRelObj keep theirs so)."""
+        bases = (obj.basis,) if isinstance(obj, RelObj) else (obj.basis1, obj.basis2)
+        if (obj.dim1, obj.dim2) != self.dims or len(bases) != len(self.sizes):
+            raise ShapeError(f"relation on dims {(obj.dim1, obj.dim2)} is not in this cell")
+        index = 0
+        for basis, size in zip(bases, self.sizes):
+            rows = basis.transpose().to_lists()
+            pivots = tuple(next((j for j, x in enumerate(row) if x), self.n) for row in rows)
+            start, free = self.shape_of.get(pivots, (None, ()))
+            values = [rows[i][j] for i, j in free]
+            if start is None or rows != _echelon_rows(self.n, pivots, free, values):
+                raise ShapeError("basis is not in canonical echelon form")
+            digit = 0
+            for v in values:
+                digit = digit * self.field.p + v
+            index = index * size + start + digit
+        return index
+
 
 def _census_space(category: str, field: FieldSpec, dims):
     if category in QUIVERS:
@@ -581,7 +624,7 @@ def _census_space(category: str, field: FieldSpec, dims):
         (d,) = dims
         group = [direct_sum(g, g) for g in _gl_generators(field, d)]
         return _RelationSpace(
-            field, 2 * d, group, 1, lambda b: RelObj._trusted(field, d, d, b)
+            field, (d, d), group, 1, lambda b: RelObj._trusted(field, d, d, b)
         )
     d1, d2 = dims
     one1, one2 = Matrix.identity(field, d1), Matrix.identity(field, d2)
@@ -589,16 +632,15 @@ def _census_space(category: str, field: FieldSpec, dims):
     group += [direct_sum(one1, g) for g in _gl_generators(field, d2)]
     return _RelationSpace(
         field,
-        d1 + d2,
+        (d1, d2),
         group,
         2,
         lambda b1, b2: PairRelObj._trusted(field, d1, d2, b1, b2),
     )
 
 
-def _orbits(space) -> list:
-    """(number of the representative, orbit size) for every orbit, in order
-    of the representatives' numbers.
+def _labels(space) -> np.ndarray:
+    """The label of every object: the least number of its orbit.
 
     Every object starts labelled with its own number.  A round takes each
     move's permutation perm and lowers label[i] and label[perm[i]] to the
@@ -609,9 +651,7 @@ def _orbits(space) -> list:
     (the orbits are the connected components of the moves' permutations),
     and the constant is at most the least number of the orbit and belongs
     to it: it is that least number, the first object of the orbit a scan in
-    numbering order meets.  So np.unique of the labels lists the first-seen
-    representatives in the order the scan meets them, with the number of
-    objects carrying each label as its orbit size."""
+    numbering order meets."""
     perms = [space.images(move) for move in space.moves]
     label = np.arange(space.total, dtype=_uint_dtype(space.total))
     while True:
@@ -622,7 +662,16 @@ def _orbits(space) -> list:
         label = label[label]
         if np.array_equal(label, before):
             break
-    representatives, sizes = np.unique(label, return_counts=True)
+    return label
+
+
+def _orbits(space) -> list:
+    """(number of the representative, orbit size) for every orbit, in order
+    of the representatives' numbers.  The representative is the orbit's
+    label (see _labels), so np.unique of the labels lists the first-seen
+    representatives in the order a scan meets them, with the number of
+    objects carrying each label as its orbit size."""
+    representatives, sizes = np.unique(_labels(space), return_counts=True)
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
@@ -666,16 +715,25 @@ def _decide_indecomposable(obj: CensusObject, orbit_size: int, group_order: int)
     return non_units == 1  # non_units was a power of q
 
 
-def _verdicts(obj: CensusObject, orbit_size: int, group_order: int) -> tuple:
-    """(indecomposable, tag) of one class representative."""
-    indec = _decide_indecomposable(obj, orbit_size, group_order)
-    tag = None
-    if indec:
-        try:
-            tag = classify_indecomposable(obj)
-        except UnclassifiedSummand:
-            tag = None
-    return indec, tag
+def _tags(category: str, space, label: np.ndarray, classes) -> list:
+    """The tag of each (number, representative, indecomposable) class, None
+    for a decomposable or unmatched one: the first of canon.table_trials
+    whose object lies in the class's orbit (see the module docstring).  The
+    label each trial's object carries is computed once per cell."""
+    shown = {}  # (tag, perm) -> label of the trial's object, None if none
+
+    def shows(tag, perm, entry) -> Optional[int]:
+        if (tag, perm) not in shown:
+            obj = entry if perm is None else trial_preimage(category, perm, entry)
+            shown[tag, perm] = None if obj is None else int(label[space.number(obj)])
+        return shown[tag, perm]
+
+    tags = []
+    for number, obj, indecomposable in classes:
+        trials = table_trials(category, _object_shape(category, obj), space.field)
+        matches = (tag for tag, perm, entry in trials if shows(tag, perm, entry) == number)
+        tags.append(next(matches, None) if indecomposable else None)
+    return tags
 
 
 def census(
@@ -692,24 +750,28 @@ def census(
     and canonical-tag match (tag None on an indecomposable class means
     UNMATCHED; decomposable classes carry no tag).  Indecomposability is
     certified by counting: q^dim End - |G| / orbit size is a power of q.
-    With workers > 1 the representatives are decided and classified in that
-    many processes; the report does not depend on the count."""
+    The tag is the first trial of canon.table_trials whose object lies in
+    the class's orbit, the tag classify_indecomposable gives (see _tags).
+    With workers > 1 the counting verdicts are computed in that many
+    processes; the report does not depend on the count."""
     dims = _check_inputs(category, field, dims)
     total = enumeration_size(category, field, dims)
     space = _census_space(category, field, dims)
-    orbits = [(space.build(index), size) for index, size in _orbits(space)]
+    label = _labels(space)
+    numbers, sizes = (a.tolist() for a in np.unique(label, return_counts=True))
+    reps = [space.build(number) for number in numbers]
 
-    reps, sizes = zip(*orbits)  # a cell has at least one object
-    decide = functools.partial(_verdicts, group_order=_group_order(field, dims))
+    decide = functools.partial(_decide_indecomposable, group_order=_group_order(field, dims))
     if workers > 1 and len(reps) > 1:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             verdicts = list(pool.map(decide, reps, sizes))
     else:
         verdicts = list(map(decide, reps, sizes))
+    tags = _tags(category, space, label, zip(numbers, reps, verdicts))
     entries = [
         ClassEntry(obj, size, indec, tag)
-        for (obj, size), (indec, tag) in zip(orbits, verdicts)
+        for obj, size, indec, tag in zip(reps, sizes, verdicts, tags)
     ]
 
     found = sum(e.orbit_size for e in entries)

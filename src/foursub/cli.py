@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for the decide/classify stage",
+        help="parallel workers for the counting verdicts",
     )
     p.set_defaults(handler=_cmd_census)
 

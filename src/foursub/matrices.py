@@ -535,6 +535,8 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 
 
 def is_invertible(m: Matrix) -> bool:
+    if m.rows == m.cols == 1:  # decided by its entry, with no elimination
+        return bool(m.entries[0])
     return m.is_square and m.rank == m.rows
 
 

@@ -14,7 +14,7 @@ from foursub.canon import (
     _SHAPES,
     _VALID_TYPES,
     _embedded_canon,
-    _embedded_total,
+    _embedded_dims,
     arm_permute,
     canon_rep,
     classify,
@@ -346,8 +346,14 @@ def test_stage_two_builds_only_permutations_of_matching_dims(monkeypatch):
     # builds the permuted representation, so every one it builds goes on to
     # the isomorphism test; the PairRel (1,2) classes over F2 reach stage
     # two with arms of unequal dims
+    reps = [
+        c.representative
+        for c in census("PairRel", F2, (1, 2)).classes
+        if c.indecomposable
+    ]
+
     def tags():
-        return [str(c.tag) for c in census("PairRel", F2, (1, 2)).classes]
+        return [str(classify_indecomposable(rep)) for rep in reps]
 
     expected, built, tested = tags(), [], set()
     iso = quivers._iso_to_indecomposable
@@ -411,13 +417,13 @@ def test_arm_permute_conjugate_still_classifies():
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
 def test_embedded_total_matches_embedding(field):
-    """_embedded_total reads the S-dims table of functors; it must agree with
+    """_embedded_dims reads the S-dims table of functors; it must agree with
     the embedded canonical object for every tag, family tags included."""
     for category in CATEGORIES:
         for tag in all_tags(category, field, max_n=3, max_deg=2, max_size=3):
             shape = _SHAPES[(category, tag.type_name)](tag.n)
-            want = _embedded_canon(tag, field).total_dim
-            assert _embedded_total(category, shape) == want, tag
+            want = _embedded_canon(tag, field)
+            assert _embedded_dims(category, shape) == want.dims, tag
 
 
 # -- images of canonical objects ---------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 import foursub
 import foursub.census as census_module
-from foursub.canon import format_tag
+from foursub.canon import classify_indecomposable, format_tag
 from foursub.census import (
     COMPONENT_CAP,
     _batched_rref,
@@ -362,12 +362,10 @@ def test_sweep_skips_oversized_cells_with_warning(monkeypatch):
 
 
 def test_sweep_raises_on_unmatched_class(monkeypatch):
-    from foursub.errors import UnclassifiedSummand
+    def no_trials(category, shape, field, candidates=None):
+        return iter(())
 
-    def refuse(obj, candidates=None, seed=0):
-        raise UnclassifiedSummand("forced miss")
-
-    monkeypatch.setattr("foursub.census.classify_indecomposable", refuse)
+    monkeypatch.setattr("foursub.census.table_trials", no_trials)
     with pytest.raises(UnmatchedClass):
         census_sweep("K", GF(2), 1)
 
@@ -682,6 +680,100 @@ def test_census_partition_matches_pairwise_isomorphism(category, dims, p):
     assert [(c.representative, c.orbit_size) for c in report.classes] == [
         tuple(entry) for entry in classes
     ]
+
+
+# -- numbering and tags --------------------------------------------------------------
+
+NUMBERED_CELLS = [
+    (q, category, dims)
+    for q in (2, 3)
+    for category, dims in [
+        ("K", (1, 1)),
+        ("K", (2, 1)),
+        ("D", (1, 2, 1)),
+        ("F", (1, 1, 1, 1, 1)),
+        ("F", (2, 1, 1, 1, 0)),
+        ("LinRel1", (1,)),
+        ("LinRel1", (2,)),
+        ("PairRel", (0, 2)),
+        ("PairRel", (1, 0)),
+        ("PairRel", (1, 2)),
+    ]
+]
+
+
+@pytest.mark.parametrize("q,category,dims", NUMBERED_CELLS)
+def test_number_inverts_build(q, category, dims):
+    space = _census_space(category, GF(q), dims)
+    assert [space.number(space.build(i)) for i in range(space.total)] == list(range(space.total))
+
+
+def test_number_rejects_other_cells_and_bases_off_echelon_form():
+    f = GF(3)
+    line = _census_space("LinRel1", f, (1,))
+    pair = _census_space("PairRel", f, (1, 1))
+    diagonal = Matrix(f, 2, 1, [1, 1])
+    off_form = [
+        Matrix(f, 2, 1, [2, 2]),  # pivot entry not 1
+        Matrix(f, 2, 1, [0, 0]),  # zero column
+        Matrix(f, 2, 2, [0, 1, 1, 0]),  # pivots out of order
+        Matrix(f, 2, 2, [1, 1, 0, 1]),  # pivot column not cleared
+    ]
+    for basis in off_form:
+        with pytest.raises(ShapeError):
+            line.number(RelObj._trusted(f, 1, 1, basis))
+        with pytest.raises(ShapeError):
+            pair.number(PairRelObj._trusted(f, 1, 1, diagonal, basis))
+    with pytest.raises(ShapeError):
+        pair.number(RelObj._trusted(f, 1, 1, diagonal))  # one relation, not a pair
+    with pytest.raises(ShapeError):
+        pair.number(PairRelObj._trusted(f, 2, 0, diagonal, diagonal))
+    kronecker = _census_space("K", f, (1, 1))
+    with pytest.raises(ShapeError):
+        kronecker.number(QuiverRep.zero(f, QUIVERS["K"]))
+    with pytest.raises(ShapeError):
+        kronecker.number(_census_space("C", f, (1, 1)).build(0))
+
+
+# the F2 sweep to total 3 (F to 4) by its bound, census_f3's cells and a
+# few F5 cells by their dims
+TAGGED_CELLS = (
+    [(2, category, 3) for category in ("K", "C", "D", "S", "LinRel1", "PairRel")]
+    + [(2, "F", 4)]
+    + [
+        (3, category, dims)
+        for category, dims in [
+            ("K", (1, 1)), ("K", (2, 2)), ("K", (1, 3)), ("C", (2, 2)),
+            ("F", (2, 1, 1, 1, 1)), ("LinRel1", (2,)), ("PairRel", (0, 3)),
+            ("PairRel", (1, 2)), ("D", (2, 1, 1)), ("S", (1, 1, 1, 1)),
+        ]
+    ]
+    + [
+        (5, category, dims)
+        for category, dims in [
+            ("K", (1, 1)), ("D", (1, 1, 1)), ("LinRel1", (1,)), ("PairRel", (1, 1)),
+            ("S", (1, 1, 1, 1)),
+        ]
+    ]
+)
+
+
+@pytest.mark.parametrize("q,category,cells", TAGGED_CELLS)
+def test_tags_by_orbit_match_classify_indecomposable(q, category, cells):
+    """The census tag of every indecomposable class is the tag the
+    hom-basis tests of classify_indecomposable give its representative."""
+    field = GF(q)
+    if isinstance(cells, int):
+        reports = census_sweep(category, field, cells)
+    else:
+        reports = [census(category, field, cells)]
+    for report in reports:
+        for entry in report.classes:
+            if entry.indecomposable:
+                assert entry.tag == classify_indecomposable(entry.representative), (
+                    report.dims,
+                    entry.representative,
+                )
 
 
 # -- re-import -----------------------------------------------------------------------

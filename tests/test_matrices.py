@@ -153,6 +153,21 @@ class TestSolveInverse:
         assert not is_invertible(Matrix.zeros(F2, 2, 2))
         assert not is_invertible(Matrix.zeros(F2, 2, 3))
 
+    def test_one_by_one_is_invertible_without_elimination(self, monkeypatch):
+        # a 1 x 1 matrix is decided by its entry: no rref, no reduced Matrix
+        cases = [(F2, 0), (F2, 1), (F5, 0), (F5, 3), (QQ, Fraction(0)), (QQ, Fraction(-2, 7))]
+        ms = [(Matrix(field, 1, 1, [x]), bool(x)) for field, x in cases]
+
+        def refuse(m):
+            raise AssertionError("rref on a 1 x 1 matrix")
+
+        monkeypatch.setattr("foursub.matrices.rref", refuse)
+        for m, invertible in ms:
+            assert is_invertible(m) is invertible
+            assert m._rref is None
+        with pytest.raises(AssertionError):
+            is_invertible(Matrix.identity(F5, 2))  # larger ones still reduce
+
 
 class TestBlocks:
     def test_hstack_vstack(self):
