@@ -80,10 +80,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import multiprocessing
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import prod
 from typing import Optional
@@ -763,6 +761,10 @@ def census(
 
     decide = functools.partial(_decide_indecomposable, group_order=_group_order(field, dims))
     if workers > 1 and len(reps) > 1:
+        # imported here: a single-process census never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             verdicts = list(pool.map(decide, reps, sizes))

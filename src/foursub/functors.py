@@ -40,7 +40,6 @@ from .matrices import (
     inverse,
     is_invertible,
     random_matrix,
-    rref,
     solve,
     vstack,
 )
@@ -308,7 +307,7 @@ def in_image(i: int, v: QuiverRep) -> ImageResult:
             reason = "BlockNotInvertible" if m.is_square else "NonSquareBlock"
             return ImageResult(False, reason=reason, blocks=blocks)
     relation_arms = {5: ("delta",), 6: ("gamma", "delta")}.get(i, ())
-    if any(rref(v.mat(arm)).rank < v.mat(arm).cols for arm in relation_arms):
+    if any(v.mat(arm).rank < v.mat(arm).cols for arm in relation_arms):
         return ImageResult(False, reason="NotInjective", blocks=blocks)
     return ImageResult(True, _from_s(i, w), blocks=blocks)
 
@@ -353,7 +352,7 @@ def hom_transport_check(i: int, v, w) -> tuple[int, int, bool]:
     image = Matrix(
         f, len(vecs[0]), len(vecs), [x for row in zip(*vecs) for x in row]
     )
-    independent_and_spanning = rref(image).rank == dim_source == dim_target
+    independent_and_spanning = image.rank == dim_source == dim_target
     return (dim_source, dim_target, independent_and_spanning)
 
 

@@ -6,23 +6,28 @@ Entries are stored as raw field values (int residues / Fractions).  Over
 prime fields all arithmetic stays integral and is reduced mod p at every
 step, so results are exact.
 
-Row reduction has one elimination per kind of row:
+Row reduction has one forward pass per kind of row (echelon), which
+clears only the rows below each pivot:
 
-* over F_2, rows are int bitmasks, bit j for column j (reduce_bits);
-* over odd prime fields, rows are Python lists of residues (reduce_rows);
+* over F_2, rows are int bitmasks, bit j for column j (_echelon_bits);
+* over odd prime fields, rows are Python lists of residues
+  (_echelon_rows);
 * over ℚ, rows are handed in as lists of Fractions and reduced as
-  primitive integer vectors (_reduce_rationals, which reduce_rows calls),
-  then written back as Fractions.
+  primitive integer vectors (_echelon_rationals).
 
-The list eliminations update each row only at the pivot row's nonzero
+Ranks, pivots (Matrix.rank, is_invertible, column_span_basis, hom_dim)
+need that pass alone.  kernel_vectors, kernel_basis and solve read their
+vectors off the echelon rows by back substitution.  reduce_bits and
+reduce_rows add one backward pass for the reduced row echelon form in
+place (over ℚ written back as Fractions), which rref builds a Matrix
+from.  The list passes update each row only at the pivot row's nonzero
 columns, since hom systems are sparse.
 
 numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
 product or sum of products can overflow: products, minimal polynomials
 and polynomial evaluation.  Every other field takes the Python-integer or
 Fraction path; products and minimal polynomials over ℚ stay on
-Fractions.  rref picks the elimination for a Matrix; kernel_vectors
-returns the canonical null-space basis of a system handed in as such
+Fractions.  kernel_vectors and echelon take a system handed in as such
 rows, without building a Matrix.
 """
 
@@ -243,7 +248,7 @@ class Matrix:
 
     @property
     def rank(self) -> int:
-        return rref(self).rank
+        return len(_pivots(self))
 
 
 # The slots' own descriptors set them past the immutability guard, at less
@@ -274,15 +279,22 @@ def rref(m: Matrix) -> RrefResult:
     p = f.p
     if m.rows == 0 or m.cols == 0:
         result = RrefResult(m, 0, ())
-    elif p == 2:
-        result = _rref_gf2(m)
     else:
-        result = _rref_rows(m)
+        if p == 2:
+            bits = _bit_rows(m)
+            pivots = reduce_bits(bits)
+            entries = [(b >> j) & 1 for b in bits for j in range(m.cols)]
+        else:
+            work = _list_rows(m)
+            pivots = reduce_rows(work, p)
+            entries = [x for row in work for x in row]
+        result = RrefResult(Matrix(f, m.rows, m.cols, entries), len(pivots), pivots)
     _set_rref(m, result)
     return result
 
 
-def _rref_gf2(m: Matrix) -> RrefResult:
+def _bit_rows(m: Matrix) -> list:
+    """m's rows as GF(2) bitmasks, bit j for column j."""
     cols = m.cols
     ent = m.entries
     bits = []
@@ -293,59 +305,118 @@ def _rref_gf2(m: Matrix) -> RrefResult:
             if ent[base + j]:
                 b |= 1 << j
         bits.append(b)
-    pivots = reduce_bits(bits)
-    entries = [(b >> j) & 1 for b in bits for j in range(cols)]
-    reduced = Matrix(m.field, m.rows, m.cols, entries)
-    return RrefResult(reduced, len(pivots), pivots)
+    return bits
+
+
+def _list_rows(m: Matrix) -> list:
+    cols = m.cols
+    return [list(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
+
+
+def _system_rows(m: Matrix) -> list:
+    """m's rows as echelon and kernel_vectors take them."""
+    return _bit_rows(m) if m.field.p == 2 else _list_rows(m)
+
+
+def _pivots(m: Matrix) -> tuple:
+    """The pivot columns of m's reduced form: its cached rref's, or else
+    those of one forward pass (echelon), which needs no backward pass."""
+    cached = m._rref
+    if cached is not None:
+        return cached.pivot_cols
+    return echelon(m.field, _system_rows(m))[1]
+
+
+def echelon(f: FieldSpec, rows: list) -> tuple:
+    """One forward pass over the system over f whose rows are int bitmasks
+    (bit j for column j) over F_2 and lists of field values otherwise:
+    (echelon rows, pivot columns), the pivots those of the reduced form.
+    The echelon rows are new bitmasks over F_2, the caller's first lists,
+    reduced in place, over odd p, and primitive integer lists over ℚ."""
+    p = f.p
+    if p == 2:
+        return _echelon_bits(rows)
+    if p is None:
+        return _echelon_rationals(rows)
+    return _echelon_rows(rows, p)
 
 
 def reduce_bits(bits: list) -> tuple:
     """Bring a list of GF(2) rows, each an int bitmask with bit j for column
     j, to reduced row echelon form in place (zero rows last), and return
-    its pivot columns.
-
-    Rows are added one at a time: a new row is cleared of the pivots found
-    so far (one xor each), its lowest bit becomes a pivot and is cleared
-    from the earlier rows.  The reduced form is unique, so this is the
-    column-by-column elimination in another order."""
-    basis = {}  # pivot bit -> row holding no other pivot bit
+    its pivot columns: the forward pass, then one backward pass that clears
+    each row, from the last up, at the pivots below it."""
+    rows, pivots = _echelon_bits(bits)
+    below = {}  # pivot bit -> reduced row
     mask = 0
-    for b in bits:
+    for i in range(len(rows) - 1, -1, -1):
+        b = rows[i]
         hit = b & mask
         while hit:
             low = hit & -hit
-            b ^= basis[low]
+            b ^= below[low]
             hit ^= low
-        if b:
+        low = b & -b
+        below[low] = rows[i] = b
+        mask |= low
+    bits[:] = rows + [0] * (len(bits) - len(rows))
+    return pivots
+
+
+def _echelon_bits(bits: list) -> tuple:
+    """Forward pass over GF(2) bitmask rows: (echelon rows in pivot order,
+    pivot columns); bits is left as it is.
+
+    Rows are added one at a time: while its lowest bit is a pivot found so
+    far, a new row is xored with that pivot's row; a row left nonzero
+    brings a new pivot, its lowest bit.  No echelon row has a bit below
+    its pivot."""
+    basis = {}  # lowest bit -> echelon row
+    for b in bits:
+        while b:
             low = b & -b
-            for key, row in basis.items():
-                if row & low:
-                    basis[key] = row ^ b
-            basis[low] = b
-            mask |= low
+            row = basis.get(low)
+            if row is None:
+                basis[low] = b
+                break
+            b ^= row
     order = sorted(basis)
-    bits[:] = [basis[k] for k in order] + [0] * (len(bits) - len(order))
-    return tuple(k.bit_length() - 1 for k in order)
-
-
-def _rref_rows(m: Matrix) -> RrefResult:
-    cols = m.cols
-    work = [list(m.entries[i * cols : (i + 1) * cols]) for i in range(m.rows)]
-    pivots = reduce_rows(work, m.field.p)
-    reduced = Matrix(m.field, m.rows, m.cols, [x for row in work for x in row])
-    return RrefResult(reduced, len(pivots), pivots)
+    return [basis[k] for k in order], tuple(k.bit_length() - 1 for k in order)
 
 
 def reduce_rows(work: list, p: Optional[int]) -> tuple:
     """Bring a list of equally long rows to reduced row echelon form, and
     return its pivot columns.  The rows hold residues mod the prime p, or
-    Fractions when p is None (the rationals, _reduce_rationals).
+    Fractions when p is None (the rationals, _echelon_rationals).
 
-    The rows are updated in place, so they must be distinct lists.  A row
-    is cleared only at the pivot row's nonzero columns: left of the pivot
-    column the pivot row is zero, and hom systems are sparse."""
+    The rows are updated in place, so they must be distinct lists: the
+    forward pass (_echelon_rows), then one backward pass that clears each
+    pivot column, from the last up, in the rows above it.  The pivot row
+    is reduced by then, so beside its pivot it is nonzero only in free
+    columns."""
     if p is None:
         return _reduce_rationals(work)
+    echelon_rows, pivots = _echelon_rows(work, p)
+    cols = len(work[0]) if work else 0
+    for k in range(len(pivots) - 1, 0, -1):
+        pk = pivots[k]
+        row_k = echelon_rows[k]
+        nonzero = [(j, y) for j in range(pk + 1, cols) if (y := row_k[j])]
+        for row in echelon_rows[:k]:
+            factor = row[pk]
+            if factor:
+                row[pk] = 0
+                for j, y in nonzero:
+                    row[j] = (row[j] - factor * y) % p
+    return pivots
+
+
+def _echelon_rows(work: list, p: int) -> tuple:
+    """Forward pass over rows of residues mod p, in place: (the echelon
+    rows, which start work, pivot columns).  Each pivot entry becomes 1 and
+    only the rows below the pivot are cleared, at the pivot row's nonzero
+    columns: left of the pivot column the pivot row is zero, and hom
+    systems are sparse."""
     rows, cols = len(work), len(work[0]) if work else 0
     r = 0
     pivots = []
@@ -365,33 +436,52 @@ def reduce_rows(work: list, p: Optional[int]) -> tuple:
         nonzero = [(j, row_r[j] * inv % p) for j in range(c, cols) if row_r[j]]
         for j, y in nonzero:
             row_r[j] = y
-        for i in range(rows):
+        for i in range(r + 1, rows):
             row_i = work[i]
             factor = row_i[c]
-            if factor and i != r:
+            if factor:
                 for j, y in nonzero:
                     row_i[j] = (row_i[j] - factor * y) % p
         pivots.append(c)
         r += 1
-    return tuple(pivots)
+    return work[:r], tuple(pivots)
 
 
 def _reduce_rationals(work: list) -> tuple:
-    """reduce_rows over the rationals, without Fractions until the end
-    (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).
+    """reduce_rows over the rationals, without Fractions until the end:
+    _echelon_rationals, then the backward pass on its integer rows, each
+    pivot column cleared in the rows above by _clear.  The finished rows go
+    back into the caller's lists as Fractions over their pivots; the
+    reduced form is unique, so they are the ones a Fraction elimination
+    gives."""
+    ints, pivots = _echelon_rationals(work)
+    for k in range(len(pivots) - 1, 0, -1):
+        pk = pivots[k]
+        row_k = ints[k]
+        nonzero = [(j, y) for j in range(pk, len(row_k)) if (y := row_k[j])]
+        for i in range(k):
+            b = ints[i][pk]
+            if b:
+                ints[i] = _clear(ints[i], row_k[pk], b, nonzero)
+    for row, v, c in zip(work, ints, pivots):
+        a = v[c]
+        row[:] = [_Q_ONE if x == a else Fraction(x, a) if x else _Q_ZERO for x in v]
+    for row in work[len(ints) :]:
+        row[:] = [_Q_ZERO] * len(row)
+    return pivots
+
+
+def _echelon_rationals(work: list) -> tuple:
+    """Forward pass over rows of Fractions on integers (fraction-free
+    elimination, Bareiss, Math. Comp. 22, 1968): (echelon rows as primitive
+    integer lists, pivot columns); work is left as it is.
 
     Each row becomes a primitive integer vector: times the lcm of its
     denominators (skipped when they are all 1), over the gcd of its
-    entries.  Row i is cleared at pivot a of row r by
-    (a*row_i - b*row_r) / gcd(a, b), b = row_i[c]; when a divides b no
-    entry of row i is scaled, so only the pivot row's nonzero columns
-    change.  Each updated row is divided by its content again, which keeps
-    the integers small.  The finished rows go back into the caller's lists
-    as Fractions over their pivots; the reduced form is unique, so they
-    are the ones a Fraction elimination gives."""
+    entries.  Only the rows below a pivot are cleared, by _clear."""
     rows, cols = len(work), len(work[0]) if work else 0
     if not rows or not cols:
-        return ()
+        return [], ()
     ints = []
     for row in work:
         ratios = [x.as_integer_ratio() for x in row]
@@ -418,84 +508,114 @@ def _reduce_rationals(work: list) -> tuple:
         row_r = ints[r]
         a = row_r[c]
         nonzero = [(j, row_r[j]) for j in range(c, cols) if row_r[j]]
-        for i in range(rows):
-            row_i = ints[i]
-            b = row_i[c]
-            if not b or i == r:
-                continue
-            g = gcd(a, b)
-            scale, factor = a // g, b // g
-            if scale == 1 or scale == -1:
-                factor *= scale
-            else:
-                row_i = ints[i] = [scale * x for x in row_i]
-            for j, y in nonzero:
-                row_i[j] -= factor * y
-            g = gcd(*row_i)
-            if g > 1:
-                ints[i] = [x // g for x in row_i]
+        for i in range(r + 1, rows):
+            b = ints[i][c]
+            if b:
+                ints[i] = _clear(ints[i], a, b, nonzero)
         pivots.append(c)
         r += 1
-    for row, v, c in zip(work, ints, pivots):
-        a = v[c]
-        row[:] = [_Q_ONE if x == a else Fraction(x, a) if x else _Q_ZERO for x in v]
-    for row in work[r:]:
-        row[:] = [_Q_ZERO] * cols
-    return tuple(pivots)
+    return ints[:r], tuple(pivots)
+
+
+def _clear(row: list, a: int, b: int, nonzero: list) -> list:
+    """The primitive integer row (a*row - b*pivot_row) / gcd(a, b), which is
+    0 at the pivot column; a is the pivot entry, b the row's entry there and
+    nonzero the pivot row's nonzero (column, entry) pairs.  When a divides b
+    no entry of row is scaled, so only the pivot row's nonzero columns
+    change; the row is updated in place unless it is scaled."""
+    g = gcd(a, b)
+    scale, factor = a // g, b // g
+    if scale == 1 or scale == -1:
+        factor *= scale
+    else:
+        row = [scale * x for x in row]
+    for j, y in nonzero:
+        row[j] -= factor * y
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Canonical null-space basis; columns are the basis vectors.
 
-    The result has ``m.cols`` rows and ``m.cols - rank(m)`` columns, derived
-    from the RREF with each free variable set to one in turn.
+    The result has ``m.cols`` rows and ``m.cols - rank(m)`` columns: the
+    vectors of kernel_vectors, one per free column.
     """
-    red, rank, pivots = rref(m)
     cols = m.cols
-    reduced = [red.entries[r * cols : (r + 1) * cols] for r in range(rank)]
-    vectors = _null_vectors(m.field, reduced, pivots, cols)
+    vectors = kernel_vectors(m.field, _system_rows(m), cols)
     return Matrix(m.field, cols, len(vectors), [x for row in zip(*vectors) for x in row])
 
 
 def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list]:
-    """The basis kernel_basis gives, as lists, for the system over f whose
-    rows are int bitmasks (bit j for column j) over F_2 and lists of field
-    values otherwise.  The rows are reduced in place with the elimination
-    rref would choose for that field."""
-    if f.p == 2:
-        pivots = reduce_bits(rows)
-        reduced = [_BitRow(b) for b in rows[: len(pivots)]]
-    else:
-        pivots = reduce_rows(rows, f.p)
-        reduced = rows
-    return _null_vectors(f, reduced, pivots, cols)
+    """The canonical null-space basis of the system over f whose rows are
+    int bitmasks (bit j for column j) over F_2 and lists of field values
+    otherwise, as lists: vector k is 1 at the k-th free column and 0 at the
+    other free columns.  Its pivot entries come from the echelon rows of
+    one forward pass by back substitution (_back_substitute); the reduced
+    form, which holds them negated in its free columns, is never built.
+    Lists over odd p are brought to echelon form in place."""
+    echelon_rows, pivots = echelon(f, rows)
+    return _back_substitute(f, echelon_rows, pivots, cols, _free_columns(pivots, cols))
 
 
-class _BitRow(int):
-    """A GF(2) row bitmask that reads its entry in column j as row[j]."""
-
-    __slots__ = ()
-
-    def __getitem__(self, j: int) -> int:
-        return (self >> j) & 1
-
-
-def _null_vectors(f: FieldSpec, reduced, pivots: tuple, cols: int) -> list[list]:
-    """Vector k of the canonical null-space basis is 1 at the k-th free
-    column, 0 at the other free columns, and minus the reduced rows' entries
-    in that column at the pivot columns."""
-    pivot_set = set(pivots)
-    z, o = f.zero(), f.one()
+def _free_columns(pivots: tuple, cols: int) -> list:
+    """(free column, number of pivots left of it), for each free column."""
     out = []
+    k = 0
     for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [z] * cols
-        vec[fc] = o
-        for row, pc in zip(reduced, pivots):
-            x = row[fc]
-            if x:
-                vec[pc] = f.neg(x)
+        if k < len(pivots) and pivots[k] == fc:
+            k += 1
+        else:
+            out.append((fc, k))
+    return out
+
+
+def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: list) -> list:
+    """For each (free column fc, k) in free, the vector that is 1 at fc and 0
+    at every other free column and that the echelon rows annihilate.  Its
+    entries right of fc are 0, so only the first k rows, those with a pivot
+    left of fc, take part: from the last of them up, each row fixes its
+    pivot entry from the entries right of it."""
+    p = f.p
+    if p == 2:
+        pivot_bits = [1 << pc for pc in pivots]
+        out = []
+        for fc, k in free:
+            v = 1 << fc
+            for i in range(k - 1, -1, -1):
+                if (rows[i] & v).bit_count() & 1:
+                    v |= pivot_bits[i]
+            out.append([(v >> j) & 1 for j in range(cols)])
+        return out
+    tails = [
+        [(j, y) for j in range(pc + 1, cols) if (y := row[j])]
+        for row, pc in zip(rows, pivots)
+    ]
+    out = []
+    for fc, k in free:
+        vec = [0] * cols
+        vec[fc] = 1
+        for i in range(k - 1, -1, -1):
+            s = 0
+            for j, y in tails[i]:
+                s += y * vec[j]
+            if p is not None:
+                s %= p
+                if s:
+                    vec[pivots[i]] = p - s
+            elif s:
+                # integer rows: vec stays an integer multiple of the kernel
+                # vector, scaled by a / gcd(a, s) where the pivot entry a
+                # does not divide s
+                pc = pivots[i]
+                a = rows[i][pc]
+                g = gcd(a, s)
+                if a != g:
+                    vec = [a // g * x for x in vec]
+                vec[pc] = -s // g
+        if p is None:
+            den = vec[fc]
+            vec = [_Q_ZERO if not x else _Q_ONE if x == den else Fraction(x, den) for x in vec]
         out.append(vec)
     return out
 
@@ -503,7 +623,10 @@ def _null_vectors(f: FieldSpec, reduced, pivots: tuple, cols: int) -> list[list]
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One particular solution ``X`` of ``a @ X = b``, or ``None``.
 
-    The canonical solution sets all free variables to zero.
+    The canonical solution sets all free variables to zero.  Column j of X
+    is the kernel vector of [a | -b] at the free column of b's column j,
+    read off one forward pass (_back_substitute); there is none when a
+    pivot lies in the b part.
     """
     if a.field != b.field:
         from .errors import FieldMismatch
@@ -511,26 +634,24 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise FieldMismatch(f"{a.field.name} vs {b.field.name}")
     if a.rows != b.rows:
         raise DimensionMismatch(f"solve: {a.rows} rows vs {b.rows} rows")
-    aug = hstack(a, b)
-    red, rank, pivots = rref(aug)
-    for pc in pivots:
-        if pc >= a.cols:
-            return None
     f = a.field
-    z = f.zero()
-    entries = [[z] * b.cols for _ in range(a.cols)]
-    for r_idx, pc in enumerate(pivots):
-        for j in range(b.cols):
-            entries[pc][j] = red.entry(r_idx, a.cols + j)
-    return Matrix(f, a.cols, b.cols, [x for row in entries for x in row])
+    n, cols = a.cols, a.cols + b.cols
+    if f.p == 2:
+        rows = [x | y << n for x, y in zip(_bit_rows(a), _bit_rows(b))]
+    else:
+        rows = [x + [f.neg(y) for y in row_b] for x, row_b in zip(_list_rows(a), _list_rows(b))]
+    echelon_rows, pivots = echelon(f, rows)
+    if pivots and pivots[-1] >= n:
+        return None
+    free = [(n + j, len(pivots)) for j in range(b.cols)]
+    vectors = _back_substitute(f, echelon_rows, pivots, cols, free)
+    return Matrix(f, n, b.cols, [vec[i] for i in range(n) for vec in vectors])
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     """The inverse, or ``None`` when singular; 0x0 matrices are invertible."""
     if not m.is_square:
         raise NotSquare(f"inverse of {m.rows}x{m.cols} matrix")
-    if m.rank < m.rows:
-        return None
     return solve(m, Matrix.identity(m.field, m.rows))
 
 
@@ -594,7 +715,7 @@ def direct_sum(*ms: Matrix) -> Matrix:
 def column_span_basis(m: Matrix) -> Matrix:
     """The original columns at the RREF pivot positions (a basis of the
     column space, deterministic)."""
-    return m.select_cols(rref(m).pivot_cols)
+    return m.select_cols(_pivots(m))
 
 
 def column_echelon(m: Matrix) -> Matrix:

@@ -37,6 +37,7 @@ from .matrices import (
     Matrix,
     column_span_basis,
     direct_sum as mat_direct_sum,
+    echelon,
     hstack,
     inverse,
     is_invertible,
@@ -45,8 +46,6 @@ from .matrices import (
     min_poly,
     poly_eval_matrix,
     random_matrix,
-    reduce_bits,
-    reduce_rows,
     rref,
     solve,
 )
@@ -351,9 +350,7 @@ def hom_dim(v: QuiverRep, w: QuiverRep) -> int:
     """dim Hom(v, w): the number of unknowns minus the rank of the
     commutation system, with no basis built."""
     rows, _, total = _hom_system(v, w)
-    if v.field.p == 2:
-        return total - len(reduce_bits(rows))
-    return total - len(reduce_rows(rows, v.field.p))
+    return total - len(echelon(v.field, rows)[1])
 
 
 def _hom_system(v: QuiverRep, w: QuiverRep) -> tuple:
@@ -757,7 +754,7 @@ def _is_nilpotent_ideal(f: FieldSpec, d: int, lam: Matrix, rad: Matrix) -> bool:
     stacked = Matrix(f, d * d, d, lam.entries) @ rad
     by_rad = [Matrix(f, d, d, stacked.col(j)) for j in range(rad.cols)]
     # N E is spanned by the R_{b_k} n, E N by the columns of the R_n
-    if rref(hstack(rad, *by_rad, *(m @ rad for m in by_basis))).rank != rad.cols:
+    if hstack(rad, *by_rad, *(m @ rad for m in by_basis)).rank != rad.cols:
         return False
     power = rad  # N^s, and N^(s+1) is spanned by the R_n applied to it
     for _ in range(d):

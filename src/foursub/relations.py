@@ -35,7 +35,6 @@ from .matrices import (
     is_invertible,
     kernel_basis,
     random_matrix,
-    rref,
     solve,
     vstack,
 )
@@ -523,7 +522,7 @@ def random_rel(field: FieldSpec, dim1: int, dim2: int, rel_dim: int, rng) -> Rel
         raise DimensionMismatch("relation dimension exceeds dim1 + dim2")
     while True:
         cand = random_matrix(field, dim1 + dim2, rel_dim, rng)
-        if rref(cand).rank == rel_dim:
+        if cand.rank == rel_dim:
             return RelObj(field, dim1, dim2, cand)
 
 

@@ -27,6 +27,7 @@ from foursub.matrices import (
     poly_eval_matrix,
     random_invertible,
     random_matrix,
+    reduce_bits,
     reduce_rows,
     rref,
     solve,
@@ -141,6 +142,22 @@ class TestSolveInverse:
         with pytest.raises(NotSquare):
             inverse(Matrix.zeros(F2, 1, 2))
 
+    def test_inverse_of_singular_is_none(self):
+        # solve(m, I) alone decides singularity: no rank check runs first
+        singular = [
+            M(F2, [[1, 1], [1, 1]]),
+            M(F2, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]),
+            M(F5, [[1, 2], [3, 1]]),  # det = 1 - 6 = 0 mod 5
+            M(F5, [[0, 0, 0], [1, 2, 3], [4, 0, 1]]),
+            M(QQ, [[Fraction(1, 2), 1], [1, 2]]),
+            M(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+            Matrix.zeros(QQ, 1, 1),
+        ]
+        for m in singular:
+            assert inverse(m) is None, m
+        for field in (F2, F5, QQ):
+            assert inverse(Matrix.zeros(field, 0, 0)) == Matrix.zeros(field, 0, 0)
+
     def test_inverse_roundtrip(self):
         rng = random.Random(3)
         for field in (F3, QQ):
@@ -161,11 +178,15 @@ class TestSolveInverse:
         def refuse(m):
             raise AssertionError("rref on a 1 x 1 matrix")
 
+        def refuse_forward(f, rows):
+            raise AssertionError(f"forward pass over {len(rows)} rows")
+
         monkeypatch.setattr("foursub.matrices.rref", refuse)
+        monkeypatch.setattr("foursub.matrices.echelon", refuse_forward)
         for m, invertible in ms:
             assert is_invertible(m) is invertible
             assert m._rref is None
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="forward pass over 2 rows"):
             is_invertible(Matrix.identity(F5, 2))  # larger ones still reduce
 
 
@@ -304,31 +325,6 @@ def _sympy_rref(m: Matrix) -> tuple:
     return entries, tuple(pivots)
 
 
-@pytest.mark.parametrize(
-    "field", [F3, F5, QQ, GF(4294967311)], ids=["F3", "F5", "Q", "F4294967311"]
-)
-def test_rref_matches_sympy(field):
-    # every field but F_2 reduces as Python lists; sympy is the reference,
-    # on sparse and rank-deficient systems and past 400 entries
-    rng = random.Random(17)
-    shapes = [
-        (1, 1, 1), (3, 5, 2), (6, 4, 4), (7, 7, 3), (12, 9, 5), (21, 20, 20), (25, 30, 6),
-        (45, 25, 25), (50, 50, 7),
-    ]
-    for rows, cols, rank in shapes:
-        dense = random_matrix(field, rows, rank, rng) @ random_matrix(field, rank, cols, rng)
-        sparse = Matrix(field, rows, cols, [x * (rng.random() < 0.3) for x in dense.entries])
-        for m in (dense, sparse):
-            red, rank_m, pivots = rref(m)
-            assert (red.entries, pivots) == _sympy_rref(m)
-            assert rank_m == len(pivots)
-            kernel = kernel_basis(m)
-            rows_m = [list(m.row(i)) for i in range(rows)]
-            assert kernel_vectors(field, rows_m, cols) == [
-                list(kernel.col(j)) for j in range(kernel.cols)
-            ]
-
-
 def _wide_q_matrices(rng):
     """Seeded rational matrices past random_matrix's +-3/<=3 entries, as
     (label, columns, rows): numerators near 2^40 over denominators up to 10^6,
@@ -392,6 +388,163 @@ def test_rref_q_matches_sympy_past_small_entries():
         assert all(type(x) is Fraction for row in work for x in row), label
         kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in sym.nullspace()]
         assert kernel_vectors(QQ, [list(row) for row in data], cols) == kernel, label
+
+
+ELIMINATION_FIELDS = [F2, F3, F5, GF(1000003), QQ, GF(4294967311)]
+
+
+def _elimination_cases(field, rng):
+    """Seeded systems over field as (label, Matrix): dense, sparse,
+    rank-deficient products (past 400 entries too), duplicate and zero
+    rows, invertible squares, and 0xn, nx0 and zero matrices."""
+    z = field.zero()
+    cases = []
+    shapes = [
+        (1, 1, 1), (2, 3, 1), (3, 2, 2), (3, 5, 2), (6, 4, 4), (7, 7, 3), (12, 9, 5),
+        (21, 20, 20), (25, 30, 6), (45, 25, 25), (50, 50, 7),
+    ]
+    for rows, cols, rank in shapes:
+        dense = random_matrix(field, rows, cols, rng)
+        cases.append(("dense", dense))
+        sparse = [x if rng.random() < 0.3 else z for x in dense.entries]
+        cases.append(("sparse", Matrix(field, rows, cols, sparse)))
+        product = random_matrix(field, rows, rank, rng) @ random_matrix(field, rank, cols, rng)
+        cases.append(("rank-deficient", product))
+        masked = [x if rng.random() < 0.3 else z for x in product.entries]
+        cases.append(("sparse rank-deficient", Matrix(field, rows, cols, masked)))
+        dup = product.to_lists()
+        dup += [list(dup[0]), [z] * cols, list(dup[-1])]
+        rng.shuffle(dup)
+        cases.append(("duplicate and zero rows", Matrix.from_rows(field, dup)))
+    for n in (2, 3, 5, 8):
+        cases.append(("invertible", random_invertible(field, n, rng)))
+    for rows, cols in ((0, 4), (4, 0), (0, 0), (3, 4)):
+        cases.append((f"zero {rows}x{cols}", Matrix.zeros(field, rows, cols)))
+    return cases
+
+
+def _system_rows(m: Matrix) -> list:
+    """m's rows as kernel_vectors takes them: bitmasks over F_2, lists otherwise."""
+    if m.field.p == 2:
+        return [sum(1 << j for j in range(m.cols) if m.entry(i, j)) for i in range(m.rows)]
+    return m.to_lists()
+
+
+def _kernel_from_rref(field, entries, pivots, cols) -> list:
+    """The canonical kernel basis read off a reduced form: 1 at one free
+    column, minus that column's reduced entries at the pivots."""
+    z, o = field.zero(), field.one()
+    out = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [z] * cols
+        vec[fc] = o
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(entries[r * cols + fc])
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
+def test_rref_matches_sympy(field):
+    # the forward pass, the backward pass and back substitution against
+    # sympy's reduced form, one row kind per field: bitmasks over F_2,
+    # residue lists over odd p and integer rows over Q
+    rng = random.Random(17)
+    for label, m in _elimination_cases(field, rng):
+        rows, cols = m.rows, m.cols
+        entries, pivots = _sympy_rref(m)
+        rank = len(pivots)
+
+        def fresh():  # a copy with no cached rref
+            return Matrix(field, rows, cols, m.entries)
+
+        red = rref(fresh())
+        assert (red.reduced.entries, red.rank, red.pivot_cols) == (entries, rank, pivots), label
+        system = _system_rows(m)
+        if field.p == 2:
+            assert reduce_bits(system) == pivots, label
+            assert system == _system_rows(Matrix(field, rows, cols, entries)), label
+        else:
+            lists = list(system)
+            assert reduce_rows(system, field.p) == pivots, label
+            assert tuple(x for row in system for x in row) == entries, label
+            assert sorted(map(id, system)) == sorted(map(id, lists)), label
+        want = _kernel_from_rref(field, entries, pivots, cols)
+        got = kernel_vectors(field, _system_rows(m), cols)
+        assert got == want, label
+        if field.p is None:
+            assert all(type(x) is Fraction for vec in got for x in vec), label
+        kernel = kernel_basis(fresh())
+        assert (kernel.rows, kernel.cols) == (cols, len(want)), label
+        assert [list(kernel.col(j)) for j in range(kernel.cols)] == want, label
+        assert fresh().rank == rank, label
+        assert is_invertible(fresh()) is (rows == cols == rank), label
+        assert column_span_basis(fresh()) == m.select_cols(pivots), label
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
+def test_solve_matches_sympy(field):
+    # solve reads column j of X off [a | -b] by back substitution; sympy's
+    # reduced [a | b] gives the same canonical solution, free variables zero
+    rng = random.Random(21)
+    for label, a in _elimination_cases(field, rng):
+        if a.rows * a.cols > 400:  # the rref test covers the large shapes
+            continue
+        for b in (random_matrix(field, a.rows, 2, rng), a @ random_matrix(field, a.cols, 3, rng)):
+            entries, pivots = _sympy_rref(hstack(a, b))
+            width = a.cols + b.cols
+            if any(pc >= a.cols for pc in pivots):
+                assert solve(a, b) is None, label
+                continue
+            want = [[field.zero()] * b.cols for _ in range(a.cols)]
+            for r, pc in enumerate(pivots):
+                want[pc] = list(entries[r * width + a.cols : (r + 1) * width])
+            x = solve(a, b)
+            assert x == Matrix(field, a.cols, b.cols, [v for row in want for v in row]), label
+            assert a @ x == b, label
+        if a.is_square:
+            inv = inverse(Matrix(field, a.rows, a.cols, a.entries))
+            if len(_sympy_rref(a)[1]) == a.rows:
+                assert a @ inv == Matrix.identity(field, a.rows), label
+            else:
+                assert inv is None, label
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
+def test_hom_dim_is_hom_basis_length(field):
+    # hom_dim stops after the forward pass, hom_basis back-substitutes:
+    # both must give sympy's nullity of the commutation system
+    from foursub.quivers import (
+        QUIVERS,
+        QuiverRep,
+        _hom_system,
+        direct_sum,
+        hom_basis,
+        hom_dim,
+        random_conjugate,
+        random_rep,
+    )
+
+    rng = random.Random(22)
+    for name in ("F", "S", "K"):
+        quiver = QUIVERS[name]
+        for _ in range(3):
+            v = random_rep(field, quiver, [rng.randint(0, 2) for _ in quiver.vertices], rng)
+            u = random_rep(field, quiver, [rng.randint(0, 2) for _ in quiver.vertices], rng)
+            w = random_conjugate(direct_sum(v, u, v), rng)
+            # every arrow zero: Hom(flat, flat) is all of the unknowns
+            flat = QuiverRep(field, quiver, v.dims, [Matrix.zeros(field, m.rows, m.cols) for m in v.mats])
+            for x, y in ((v, v), (v, w), (w, v), (w, w), (flat, v), (flat, flat)):
+                rows, _, total = _hom_system(x, y)
+                if field.p == 2:
+                    rows = [[(r >> j) & 1 for j in range(total)] for r in rows]
+                system = Matrix(field, len(rows), total, [e for row in rows for e in row])
+                nullity = total - len(_sympy_rref(system)[1])
+                basis = hom_basis(x, y)
+                assert hom_dim(x, y) == len(basis) == nullity, (name, x.dims, y.dims)
+                assert all(phi.is_valid() for phi in basis)
 
 
 @st.composite
