@@ -464,7 +464,7 @@ def _batched_rref(m: np.ndarray, q: int) -> tuple:
     at a time.  Unused rows are zero left of the column, so only the columns
     from it on change.  The k-th pivot row becomes row k of the reduced
     form and the rows left over are zero; the reduced form is unique, so it
-    is the one matrices.reduce_rows gives."""
+    is the one matrices.rref gives."""
     r, n, count = m.shape
     mask = np.zeros((n, count), dtype=bool)
     place = np.full((r, count), r, dtype=np.uint8)  # row i's row in the result
@@ -663,13 +663,13 @@ def _labels(space) -> np.ndarray:
     return label
 
 
-def _orbits(space) -> list:
+def _orbits(label: np.ndarray) -> list:
     """(number of the representative, orbit size) for every orbit, in order
-    of the representatives' numbers.  The representative is the orbit's
-    label (see _labels), so np.unique of the labels lists the first-seen
-    representatives in the order a scan meets them, with the number of
-    objects carrying each label as its orbit size."""
-    representatives, sizes = np.unique(_labels(space), return_counts=True)
+    of the representatives' numbers, from the labels of _labels.  The
+    representative is the orbit's label, so np.unique of the labels lists
+    the first-seen representatives in the order a scan meets them, with
+    the number of objects carrying each label as its orbit size."""
+    representatives, sizes = np.unique(label, return_counts=True)
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
@@ -756,7 +756,7 @@ def census(
     total = enumeration_size(category, field, dims)
     space = _census_space(category, field, dims)
     label = _labels(space)
-    numbers, sizes = (a.tolist() for a in np.unique(label, return_counts=True))
+    numbers, sizes = zip(*_orbits(label))
     reps = [space.build(number) for number in numbers]
 
     decide = functools.partial(_decide_indecomposable, group_order=_group_order(field, dims))

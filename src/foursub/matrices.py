@@ -15,13 +15,13 @@ clears only the rows below each pivot:
 * over ℚ, rows are handed in as lists of Fractions and reduced as
   primitive integer vectors (_echelon_rationals).
 
-Ranks, pivots (Matrix.rank, is_invertible, column_span_basis, hom_dim)
-need that pass alone.  kernel_vectors, kernel_basis and solve read their
-vectors off the echelon rows by back substitution.  reduce_bits and
-reduce_rows add one backward pass for the reduced row echelon form in
-place (over ℚ written back as Fractions), which rref builds a Matrix
-from.  The list passes update each row only at the pivot row's nonzero
-columns, since hom systems are sparse.
+The list passes hand back each pivot row as its nonzero (column, entry)
+pairs, pivot first, and update the rows below only at those columns,
+since hom systems are sparse.  Ranks, pivots (Matrix.rank,
+is_invertible, column_span_basis, hom_dim) need that pass alone.
+kernel_vectors, kernel_basis and solve read their vectors off the pivot
+rows by back substitution (_back_substitute), and rref reads the reduced
+form off those vectors; no backward pass runs.
 
 numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
 product or sum of products can overflow: products, minimal polynomials
@@ -44,14 +44,14 @@ from .fields import FieldSpec, Poly, is_irreducible, poly_power
 
 # numpy int64 stays exact as long as p*p*cols cannot overflow
 _NP_PRIME_LIMIT = 1 << 20
-# shared by every row _reduce_rationals writes back
+# shared by every kernel vector _back_substitute gives over ℚ
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 class Matrix:
     """An immutable ``rows x cols`` matrix of raw field values (row-major)."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_rref")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -65,7 +65,6 @@ class Matrix:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
-        _set_rref(self, None)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("Matrix is immutable")
@@ -257,7 +256,6 @@ _set_field = Matrix.field.__set__
 _set_rows = Matrix.rows.__set__
 _set_cols = Matrix.cols.__set__
 _set_entries = Matrix.entries.__set__
-_set_rref = Matrix._rref.__set__
 
 
 class RrefResult(NamedTuple):
@@ -267,30 +265,25 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row-echelon form, with rank and pivot columns.
+    """Unique reduced row-echelon form, with rank and pivot columns (the
+    first nonzero pivot in column order).
 
-    Deterministic (first nonzero pivot in column order); result is cached on
-    the matrix.
-    """
-    cached = m._rref
-    if cached is not None:
-        return cached
-    f = m.field
-    p = f.p
-    if m.rows == 0 or m.cols == 0:
-        result = RrefResult(m, 0, ())
-    else:
-        if p == 2:
-            bits = _bit_rows(m)
-            pivots = reduce_bits(bits)
-            entries = [(b >> j) & 1 for b in bits for j in range(m.cols)]
-        else:
-            work = _list_rows(m)
-            pivots = reduce_rows(work, p)
-            entries = [x for row in work for x in row]
-        result = RrefResult(Matrix(f, m.rows, m.cols, entries), len(pivots), pivots)
-    _set_rref(m, result)
-    return result
+    Read off the canonical kernel vectors of one forward pass
+    (_back_substitute): reduced row i is 1 at its pivot and, at each free
+    column fc, minus entry pivots[i] of fc's kernel vector, which is 0
+    unless the pivot lies left of fc; the rows past the rank are zero."""
+    f, cols = m.field, m.cols
+    rows, pivots = echelon(f, _system_rows(m))
+    free = _free_columns(pivots, cols)
+    zero, one, neg = f.zero(), f.one(), f.neg
+    entries = [zero] * (m.rows * cols)
+    for i, pc in enumerate(pivots):
+        entries[i * cols + pc] = one
+    for (fc, k), vec in zip(free, _back_substitute(f, rows, pivots, cols, free)):
+        for i in range(k):
+            if x := vec[pivots[i]]:
+                entries[i * cols + fc] = neg(x)
+    return RrefResult(Matrix(f, m.rows, cols, entries), len(pivots), pivots)
 
 
 def _bit_rows(m: Matrix) -> list:
@@ -319,48 +312,24 @@ def _system_rows(m: Matrix) -> list:
 
 
 def _pivots(m: Matrix) -> tuple:
-    """The pivot columns of m's reduced form: its cached rref's, or else
-    those of one forward pass (echelon), which needs no backward pass."""
-    cached = m._rref
-    if cached is not None:
-        return cached.pivot_cols
+    """The pivot columns of m's reduced form, from one forward pass
+    (echelon)."""
     return echelon(m.field, _system_rows(m))[1]
 
 
 def echelon(f: FieldSpec, rows: list) -> tuple:
     """One forward pass over the system over f whose rows are int bitmasks
     (bit j for column j) over F_2 and lists of field values otherwise:
-    (echelon rows, pivot columns), the pivots those of the reduced form.
-    The echelon rows are new bitmasks over F_2, the caller's first lists,
-    reduced in place, over odd p, and primitive integer lists over ℚ."""
+    (pivot rows, pivot columns), the pivots those of the reduced form.
+    The pivot rows are new bitmasks over F_2 and lists of nonzero (column,
+    entry) pairs otherwise, pivot first: residues with a leading 1 over odd
+    p, a primitive integer row over ℚ."""
     p = f.p
     if p == 2:
         return _echelon_bits(rows)
     if p is None:
         return _echelon_rationals(rows)
     return _echelon_rows(rows, p)
-
-
-def reduce_bits(bits: list) -> tuple:
-    """Bring a list of GF(2) rows, each an int bitmask with bit j for column
-    j, to reduced row echelon form in place (zero rows last), and return
-    its pivot columns: the forward pass, then one backward pass that clears
-    each row, from the last up, at the pivots below it."""
-    rows, pivots = _echelon_bits(bits)
-    below = {}  # pivot bit -> reduced row
-    mask = 0
-    for i in range(len(rows) - 1, -1, -1):
-        b = rows[i]
-        hit = b & mask
-        while hit:
-            low = hit & -hit
-            b ^= below[low]
-            hit ^= low
-        low = b & -b
-        below[low] = rows[i] = b
-        mask |= low
-    bits[:] = rows + [0] * (len(bits) - len(rows))
-    return pivots
 
 
 def _echelon_bits(bits: list) -> tuple:
@@ -384,41 +353,15 @@ def _echelon_bits(bits: list) -> tuple:
     return [basis[k] for k in order], tuple(k.bit_length() - 1 for k in order)
 
 
-def reduce_rows(work: list, p: Optional[int]) -> tuple:
-    """Bring a list of equally long rows to reduced row echelon form, and
-    return its pivot columns.  The rows hold residues mod the prime p, or
-    Fractions when p is None (the rationals, _echelon_rationals).
-
-    The rows are updated in place, so they must be distinct lists: the
-    forward pass (_echelon_rows), then one backward pass that clears each
-    pivot column, from the last up, in the rows above it.  The pivot row
-    is reduced by then, so beside its pivot it is nonzero only in free
-    columns."""
-    if p is None:
-        return _reduce_rationals(work)
-    echelon_rows, pivots = _echelon_rows(work, p)
-    cols = len(work[0]) if work else 0
-    for k in range(len(pivots) - 1, 0, -1):
-        pk = pivots[k]
-        row_k = echelon_rows[k]
-        nonzero = [(j, y) for j in range(pk + 1, cols) if (y := row_k[j])]
-        for row in echelon_rows[:k]:
-            factor = row[pk]
-            if factor:
-                row[pk] = 0
-                for j, y in nonzero:
-                    row[j] = (row[j] - factor * y) % p
-    return pivots
-
-
 def _echelon_rows(work: list, p: int) -> tuple:
-    """Forward pass over rows of residues mod p, in place: (the echelon
-    rows, which start work, pivot columns).  Each pivot entry becomes 1 and
-    only the rows below the pivot are cleared, at the pivot row's nonzero
-    columns: left of the pivot column the pivot row is zero, and hom
-    systems are sparse."""
+    """Forward pass over rows of residues mod p, with work as the work
+    space: (pivot rows, pivot columns), each pivot row its nonzero (column,
+    entry) pairs scaled to a leading 1.  Only the rows below a pivot are
+    cleared, at the pivot row's nonzero columns: left of the pivot column
+    the pivot row is zero, and hom systems are sparse."""
     rows, cols = len(work), len(work[0]) if work else 0
     r = 0
+    pivot_rows = []
     pivots = []
     for c in range(cols):
         if r == rows:
@@ -434,47 +377,23 @@ def _echelon_rows(work: list, p: int) -> tuple:
         row_r = work[r]
         inv = pow(row_r[c], p - 2, p)
         nonzero = [(j, row_r[j] * inv % p) for j in range(c, cols) if row_r[j]]
-        for j, y in nonzero:
-            row_r[j] = y
         for i in range(r + 1, rows):
             row_i = work[i]
             factor = row_i[c]
             if factor:
                 for j, y in nonzero:
                     row_i[j] = (row_i[j] - factor * y) % p
+        pivot_rows.append(nonzero)
         pivots.append(c)
         r += 1
-    return work[:r], tuple(pivots)
-
-
-def _reduce_rationals(work: list) -> tuple:
-    """reduce_rows over the rationals, without Fractions until the end:
-    _echelon_rationals, then the backward pass on its integer rows, each
-    pivot column cleared in the rows above by _clear.  The finished rows go
-    back into the caller's lists as Fractions over their pivots; the
-    reduced form is unique, so they are the ones a Fraction elimination
-    gives."""
-    ints, pivots = _echelon_rationals(work)
-    for k in range(len(pivots) - 1, 0, -1):
-        pk = pivots[k]
-        row_k = ints[k]
-        nonzero = [(j, y) for j in range(pk, len(row_k)) if (y := row_k[j])]
-        for i in range(k):
-            b = ints[i][pk]
-            if b:
-                ints[i] = _clear(ints[i], row_k[pk], b, nonzero)
-    for row, v, c in zip(work, ints, pivots):
-        a = v[c]
-        row[:] = [_Q_ONE if x == a else Fraction(x, a) if x else _Q_ZERO for x in v]
-    for row in work[len(ints) :]:
-        row[:] = [_Q_ZERO] * len(row)
-    return pivots
+    return pivot_rows, tuple(pivots)
 
 
 def _echelon_rationals(work: list) -> tuple:
     """Forward pass over rows of Fractions on integers (fraction-free
-    elimination, Bareiss, Math. Comp. 22, 1968): (echelon rows as primitive
-    integer lists, pivot columns); work is left as it is.
+    elimination, Bareiss, Math. Comp. 22, 1968): (pivot rows, pivot
+    columns), each pivot row the nonzero (column, entry) pairs of a
+    primitive integer row; work is left as it is.
 
     Each row becomes a primitive integer vector: times the lcm of its
     denominators (skipped when they are all 1), over the gcd of its
@@ -493,6 +412,7 @@ def _echelon_rationals(work: list) -> tuple:
         g = gcd(*v)
         ints.append([x // g for x in v] if g > 1 else v)
     r = 0
+    pivot_rows = []
     pivots = []
     for c in range(cols):
         if r == rows:
@@ -512,9 +432,10 @@ def _echelon_rationals(work: list) -> tuple:
             b = ints[i][c]
             if b:
                 ints[i] = _clear(ints[i], a, b, nonzero)
+        pivot_rows.append(nonzero)
         pivots.append(c)
         r += 1
-    return ints[:r], tuple(pivots)
+    return pivot_rows, tuple(pivots)
 
 
 def _clear(row: list, a: int, b: int, nonzero: list) -> list:
@@ -550,12 +471,11 @@ def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list]:
     """The canonical null-space basis of the system over f whose rows are
     int bitmasks (bit j for column j) over F_2 and lists of field values
     otherwise, as lists: vector k is 1 at the k-th free column and 0 at the
-    other free columns.  Its pivot entries come from the echelon rows of
-    one forward pass by back substitution (_back_substitute); the reduced
-    form, which holds them negated in its free columns, is never built.
-    Lists over odd p are brought to echelon form in place."""
-    echelon_rows, pivots = echelon(f, rows)
-    return _back_substitute(f, echelon_rows, pivots, cols, _free_columns(pivots, cols))
+    other free columns.  Its pivot entries come from the pivot rows of one
+    forward pass by back substitution (_back_substitute).  Lists over odd
+    p are the forward pass's work space."""
+    pivot_rows, pivots = echelon(f, rows)
+    return _back_substitute(f, pivot_rows, pivots, cols, _free_columns(pivots, cols))
 
 
 def _free_columns(pivots: tuple, cols: int) -> list:
@@ -572,10 +492,10 @@ def _free_columns(pivots: tuple, cols: int) -> list:
 
 def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: list) -> list:
     """For each (free column fc, k) in free, the vector that is 1 at fc and 0
-    at every other free column and that the echelon rows annihilate.  Its
-    entries right of fc are 0, so only the first k rows, those with a pivot
-    left of fc, take part: from the last of them up, each row fixes its
-    pivot entry from the entries right of it."""
+    at every other free column and that the pivot rows of echelon
+    annihilate.  Its entries right of fc are 0, so only the first k rows,
+    those with a pivot left of fc, take part: from the last of them up,
+    each row fixes its pivot entry from its tail, the entries right of it."""
     p = f.p
     if p == 2:
         pivot_bits = [1 << pc for pc in pivots]
@@ -587,10 +507,7 @@ def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: l
                     v |= pivot_bits[i]
             out.append([(v >> j) & 1 for j in range(cols)])
         return out
-    tails = [
-        [(j, y) for j in range(pc + 1, cols) if (y := row[j])]
-        for row, pc in zip(rows, pivots)
-    ]
+    tails = [row[1:] for row in rows]
     out = []
     for fc, k in free:
         vec = [0] * cols
@@ -607,8 +524,7 @@ def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: l
                 # integer rows: vec stays an integer multiple of the kernel
                 # vector, scaled by a / gcd(a, s) where the pivot entry a
                 # does not divide s
-                pc = pivots[i]
-                a = rows[i][pc]
+                pc, a = rows[i][0]
                 g = gcd(a, s)
                 if a != g:
                     vec = [a // g * x for x in vec]
@@ -640,11 +556,11 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         rows = [x | y << n for x, y in zip(_bit_rows(a), _bit_rows(b))]
     else:
         rows = [x + [f.neg(y) for y in row_b] for x, row_b in zip(_list_rows(a), _list_rows(b))]
-    echelon_rows, pivots = echelon(f, rows)
+    pivot_rows, pivots = echelon(f, rows)
     if pivots and pivots[-1] >= n:
         return None
     free = [(n + j, len(pivots)) for j in range(b.cols)]
-    vectors = _back_substitute(f, echelon_rows, pivots, cols, free)
+    vectors = _back_substitute(f, pivot_rows, pivots, cols, free)
     return Matrix(f, n, b.cols, [vec[i] for i in range(n) for vec in vectors])
 
 

@@ -1,7 +1,7 @@
 """Census tests: frozen class counts from independent enumeration, orbit
 accounting, agreement of the orbit walk with pairwise isomorphism tests and
 with a plain breadth-first search, the batched elimination against
-reduce_rows, the counting verdict against hand-checked cells and the
+rref, the counting verdict against hand-checked cells and the
 indecomposability ladder, the generating sets of GL(d, q) and their cached
 inverses, the permutation tables against the Matrix-level action, the
 tables shared between cells (read-only, bounded, the same report cold and
@@ -31,6 +31,7 @@ from foursub.census import (
     _gl_generators,
     _gl_inverses,
     _group_order,
+    _labels,
     _orbits,
     _uint_dtype,
     census,
@@ -39,7 +40,7 @@ from foursub.census import (
 )
 from foursub.errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from foursub.fields import GF, QQ
-from foursub.matrices import Matrix, column_echelon, direct_sum, inverse, reduce_rows
+from foursub.matrices import Matrix, column_echelon, direct_sum, inverse, rref
 from foursub.quivers import QUIVERS, QuiverRep, end_dim, is_indecomposable, is_isomorphic
 from foursub.relations import (
     PairRelObj,
@@ -603,7 +604,7 @@ def bfs_orbits(space):
 )
 def test_label_propagation_matches_breadth_first_search(category, dims, q):
     space = _census_space(category, GF(q), dims)
-    assert _orbits(space) == bfs_orbits(space)
+    assert _orbits(_labels(space)) == bfs_orbits(space)
 
 
 def random_stack(rng, q, r, n, count, full_rank):
@@ -611,7 +612,7 @@ def random_stack(rng, q, r, n, count, full_rank):
     mats = []
     while len(mats) < count:
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
-        if not full_rank or len(reduce_rows([row[:] for row in rows], q)) == r:
+        if not full_rank or Matrix(GF(q), r, n, [x for row in rows for x in row]).rank == r:
             mats.append(rows)
     return mats
 
@@ -620,15 +621,15 @@ def random_stack(rng, q, r, n, count, full_rank):
 @pytest.mark.parametrize("r,n", [(0, 3), (1, 1), (2, 4), (3, 3), (3, 6), (4, 8)])
 def test_batched_rref_matches_reduce_rows(q, r, n):
     """Full-rank batches, then arbitrary ones: the same reduced rows and
-    pivot columns as reduce_rows, matrix by matrix."""
+    pivot columns as rref, matrix by matrix."""
     rng = random.Random(100 * q + 10 * r + n)
     mats = random_stack(rng, q, r, n, 150, True) + random_stack(rng, q, r, n, 50, False)
     stack = np.array(mats, dtype=_uint_dtype(max(n, 2) * q * q)).reshape(len(mats), r, n)
     reduced, mask = _batched_rref(stack.transpose(1, 2, 0).copy(), q)
     for b, rows in enumerate(mats):
-        pivots = reduce_rows(rows, q)  # in place
-        assert reduced[:, :, b].tolist() == rows
-        assert mask[:, b].tolist() == [j in pivots for j in range(n)]
+        red = rref(Matrix(GF(q), r, n, [x for row in rows for x in row]))
+        assert reduced[:, :, b].tolist() == red.reduced.to_lists()
+        assert mask[:, b].tolist() == [j in red.pivot_cols for j in range(n)]
 
 
 @pytest.mark.parametrize("q", [10007, 65537])
@@ -641,7 +642,7 @@ def test_linrel1_one_over_large_fields_fixes_every_line(q):
     for move in space.moves:
         assert [table.tolist() for _, table in move] == [identity]
         assert space.images(move).tolist() == identity
-    assert _orbits(space) == [(i, 1) for i in identity]
+    assert _orbits(_labels(space)) == [(i, 1) for i in identity]
 
 
 def test_kronecker_1_1_over_f251_counts_q_plus_two():

@@ -84,13 +84,19 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert (better["objects_per_s"], better["peak_rss_mb"]) == ("higher", "lower")
     assert (bounds["objects_per_s"], bounds["peak_rss_mb"]) == (0.25, 0.1)
     assert "matrices.rref.q.calls" in better and "matrices.rref.q.calls" not in bounds
+    # five wins of five pairs are too few pairs for a gain
     won = bench_pairs.summarize(parent, [{"objects_per_s": v + 3} for v in (1, 2, 3, 4, 5)], better)
-    assert won[0]["wins"] == 5 and won[0]["gain"] is True
+    assert won[0]["wins"] == 5 and won[0]["gain"] is False
+    # ten pairs: parent iqr 4.5 (3.25-7.75), medians 5.5 -> 10.5
+    parent = [{"objects_per_s": v, "failed": 0} for v in range(1, 11)]
+    won = bench_pairs.summarize(parent, [{"objects_per_s": v + 5} for v in range(1, 11)], better)
+    assert (won[0]["pairs"], won[0]["wins"], won[0]["parent_iqr"]) == (10, 10, 4.5)
+    assert won[0]["gain"] is True
     # the same numbers gain nothing when a larger share of operations fails
     attempts = [dict(run, attempted=100) for run in parent]
-    failing = [{"objects_per_s": v + 3, "attempted": 100, "failed": 1} for v in (1, 2, 3, 4, 5)]
+    failing = [{"objects_per_s": v + 5, "attempted": 100, "failed": 1} for v in range(1, 11)]
     lost = {row["metric"]: row for row in bench_pairs.summarize(attempts, failing, better)}
-    assert lost["objects_per_s"]["wins"] == 5 and lost["objects_per_s"]["gain"] is False
+    assert lost["objects_per_s"]["wins"] == 10 and lost["objects_per_s"]["gain"] is False
     # a change that attempts more at the parent's share of failures still gains
     attempts = [dict(run, failed=1) for run in attempts]
     more = [dict(run, attempted=200, failed=2) for run in failing]

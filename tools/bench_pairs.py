@@ -11,9 +11,9 @@ line of a run's stdout is read: the JSON object with its metrics.
 For every metric the summary gives the median and quartiles of each side,
 the pairs the change won (by the ``better`` direction that BENCHMARK.json
 in CHANGE states for the metric), and the parent's quartile distance.  A
-gain holds when the change wins at least nine tenths of the pairs and the
-medians differ in its favour by more than that distance, and no larger
-share of the change's operations fails (failed over attempted, summed over
+gain holds when at least ten pairs ran, the change wins at least nine
+tenths of them and the medians differ in its favour by more than that
+distance, and no larger share of the change's operations fails (failed over attempted, summed over
 its runs).  A metric regresses when the change's median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, a share of
 the parent's median; metrics without a bound get no verdict.  Every run
@@ -69,8 +69,8 @@ def summarize(parent: list, change: list, better: dict, bounds: dict | None = No
     """One row per metric that both sides report, runs given in pair order.
 
     A pair is a win when the change is strictly better; a metric without a
-    direction gets no wins and no gain, and no metric gains when a larger
-    share of the change's operations fails.  A metric with a direction and
+    direction gets no wins and no gain, and no metric gains on fewer than
+    ten pairs or when a larger share of the change's operations fails.  A metric with a direction and
     a bound regresses when the change's median is worse than the parent's
     by more than bound times the parent's median."""
     bounds = bounds or {}
@@ -88,8 +88,8 @@ def summarize(parent: list, change: list, better: dict, bounds: dict | None = No
         if direction is not None:
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-            gain = (wins >= 0.9 * len(p) and sign * (c_med - p_med) > p_q3 - p_q1
-                    and not more_failures)
+            gain = (len(p) >= 10 and wins >= 0.9 * len(p)
+                    and sign * (c_med - p_med) > p_q3 - p_q1 and not more_failures)
             if name in bounds:
                 regression = sign * (p_med - c_med) > bounds[name] * abs(p_med)
         rows.append({
