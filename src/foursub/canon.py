@@ -141,6 +141,8 @@ def parse_tag(text: str, field: FieldSpec) -> IndecompTag:
         key, sep2, value = part.partition("=")
         if not sep2:
             raise ParseError(f"bad tag argument {part!r}")
+        if (key == "p" and poly is not None) or (key == "s" and power is not None):
+            raise ParseError(f"repeated tag argument {key!r} in tag {text!r}")
         if key == "p":
             poly = parse_poly(field, value)
         elif key == "s":

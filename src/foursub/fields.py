@@ -175,9 +175,7 @@ class FieldSpec:
         return Fraction(num, den)
 
     def format_scalar(self, a) -> str:
-        if self.p is not None:
-            return str(a)
-        return str(a)  # Fraction prints as n or n/d
+        return str(a)  # a Fraction prints as n or n/d
 
 
 QQ = FieldSpec.rationals()
@@ -253,22 +251,6 @@ class Poly:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field.name} vs {other.field.name}")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(f, [f.add(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(f, [f.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.field
@@ -291,28 +273,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return self.scale(self.field.inv(self.leading))
-
-    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(divisor)
-        if divisor.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        lead_inv = f.inv(divisor.leading)
-        rem = list(self.coeffs)
-        dn = divisor.degree
-        if self.degree < dn:
-            return Poly.zero(f), self
-        quot = [f.zero()] * (self.degree - dn + 1)
-        for k in range(self.degree - dn, -1, -1):
-            c = f.mul(rem[k + dn], lead_inv)
-            if c:
-                quot[k] = c
-                for i, d in enumerate(divisor.coeffs):
-                    rem[k + i] = f.sub(rem[k + i], f.mul(c, d))
-        return Poly.make(f, quot), Poly.make(f, rem)
-
-    def __mod__(self, divisor: "Poly") -> "Poly":
-        return self.divmod(divisor)[1]
 
     def eval(self, x):
         """Evaluate at a raw field value (Horner)."""

@@ -621,18 +621,18 @@ def _split_by_endo_kernels(rep: QuiverRep, phi: RepMorphism, a_poly, b_poly):
     return bases_a, bases_b
 
 
-def _random_endos(endos: list[RepMorphism], rep: QuiverRep, seed: int):
-    """Seeded random combinations of the basis endomorphisms, as many as
-    the Fitting cap leaves after the basis itself."""
-    f = rep.field
+def _random_endos(basis: list[RepMorphism], seed: int, count: int, bound: int):
+    """count seeded random combinations of the endomorphisms in basis, the
+    zero combination skipped; over Q the coefficients lie in [-bound, bound]."""
+    f = basis[0].source.field
     rng = random.Random(seed)
-    for _ in range(max(0, _FITTING_TRIES - len(endos))):
+    for _ in range(count):
         if f.is_prime_field:
-            coeffs = [rng.randrange(f.p) for _ in endos]
+            coeffs = [rng.randrange(f.p) for _ in basis]
         else:
-            coeffs = [f.convert(rng.randint(-3, 3)) for _ in endos]
+            coeffs = [f.convert(rng.randint(-bound, bound)) for _ in basis]
         acc = None
-        for h, c in zip(endos, coeffs):
+        for h, c in zip(basis, coeffs):
             if not c:
                 continue
             term = h.scale(c)
@@ -641,19 +641,18 @@ def _random_endos(endos: list[RepMorphism], rep: QuiverRep, seed: int):
             yield acc
 
 
-def _fitting_split(rep: QuiverRep, candidates, end_dim: int | None = None):
+def _fitting_split(rep: QuiverRep, candidates, generates):
     """('split', (bases_a, bases_b)) from the first candidate endomorphism
-    whose minimal polynomial is not primary (Fitting's lemma), or None.
-
-    Given end_dim = dim End, a candidate before any split whose primary
-    minimal polynomial has degree end_dim generates End and returns
-    ('indecomposable', True) (the generator rung of _find_splitting)."""
+    whose minimal polynomial is not primary (Fitting's lemma), or
+    ('indecomposable', True) from the first before it whose primary minimal
+    polynomial mu satisfies generates(mu), a certificate that End is local;
+    None when no candidate decides."""
     for phi in candidates:
         mu = min_poly(_total_matrix(phi))
         split = coprime_split(mu)
         if split is not None:
             return ("split", _split_by_endo_kernels(rep, phi, split[0], split[1]))
-        if mu.degree == end_dim:
+        if generates(mu):
             return ("indecomposable", True)
     return None
 
@@ -769,104 +768,57 @@ def _algebra_analysis(rep: QuiverRep, endos: list[RepMorphism], seed: int):
 
     Computes rad E exactly with _radical, on every field, and raises
     ShapeError unless it is a nilpotent two-sided ideal: every verdict
-    below rests on that.  The semisimple quotient E/rad is then studied by
-    minimal polynomials of candidate elements: a factorization into
-    distinct irreducibles lifts to a Fitting splitting, and a full-degree
-    irreducible minimal polynomial of a commutative quotient certifies that
-    E/rad is a field, so E is local.
+    below rests on that.  Candidate elements of E are then tested on rep by
+    _fitting_split.  An element phi and its image in E/rad have minimal
+    polynomials with the same irreducible factors, since rad is nilpotent,
+    so phi splits rep exactly when its image is not primary.  When E/rad is
+    commutative (every basis commutator lies in rad) it is a product of
+    fields, the image of phi has the squarefree minimal polynomial p for
+    mu(phi) = p^s, and deg p = dim E/rad certifies that E/rad = k[phi] is a
+    field, so E is local.
 
-    Returns ('split', (bases_a, bases_b)), ('indecomposable', True), or None
-    when no candidate decides.  Over F_p a noncommutative quotient is a
-    product of matrix rings and some element splits it; over Q it may be a
-    noncommutative division algebra.
+    The candidates: the basis elements whose images span E/rad, their pair
+    sums and both products, _GENERATOR_TRIES seeded combinations of them,
+    and as many seeded combinations of the whole basis as _FITTING_TRIES
+    leaves after the basis itself.  Returns ('split', (bases_a,
+    bases_b)), ('indecomposable', True), or None when no candidate
+    decides.  Over F_p a noncommutative quotient is a product of matrix
+    rings and some element splits it; over Q it may be a noncommutative
+    division algebra.
     """
     from .fields import poly_factor_list
 
     f = rep.field
     d = len(endos)
-    basis_cols = _endo_vec_basis(endos)
-    lam = _product_coords(endos, basis_cols)  # lam[k, i*d+j]
+    lam = _product_coords(endos, _endo_vec_basis(endos))  # lam[k, i*d+j]
     rad = _radical(f, d, lam)
     if not _is_nilpotent_ideal(f, d, lam, rad):
         raise ShapeError("computed radical is not a nilpotent two-sided ideal")
 
     r = rad.cols
     m = d - r
-    ext = hstack(rad, Matrix.identity(f, d))
-    comp_idx = [p - r for p in rref(ext).pivot_cols if p >= r]
-    full_cols = []
-    for k in range(d):
-        row = [rad.entry(k, c) for c in range(r)]
-        row += [f.one() if k == comp_idx[a] else f.zero() for a in range(m)]
-        full_cols.append(row)
-    full = Matrix(f, d, d, [x for row in full_cols for x in row])
-
-    def project(coord_list):
-        sol = solve(full, Matrix(f, d, 1, list(coord_list)))
-        return tuple(sol.entry(r + a, 0) for a in range(m))
-
-    cbar = [
-        [
-            project([lam.entry(k, ia * d + ib) for k in range(d)])
-            for ib in comp_idx
-        ]
-        for ia in comp_idx
-    ]
-    quotient_commutative = all(
-        cbar[a][b] == cbar[b][a] for a in range(m) for b in range(a + 1, m)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    commutators = lam.select_cols([i * d + j for i, j in pairs]) - lam.select_cols(
+        [j * d + i for i, j in pairs]
     )
+    commutative = hstack(rad, commutators).rank == r
+    # the basis elements whose images in E/rad form a basis of it
+    comp = [endos[c - r] for c in rref(hstack(rad, Matrix.identity(f, d))).pivot_cols if c >= r]
 
-    def left_mult(w):
-        entries = []
-        for k in range(m):
-            for b in range(m):
-                entries.append(
-                    _sum_scalars(
-                        f, (f.mul(w[a], cbar[a][b][k]) for a in range(m) if w[a])
-                    )
-                )
-        return Matrix(f, m, m, entries)
-
-    def lift(w):
-        acc = None
-        for a, wa in enumerate(w):
-            if not wa:
-                continue
-            term = endos[comp_idx[a]].scale(wa)
-            acc = term if acc is None else acc + term
-        return acc
+    def generates(mu):
+        return commutative and poly_factor_list(mu)[0][0].degree == m
 
     def candidates():
-        zero, one = f.zero(), f.one()
-        for a in range(m):
-            yield tuple(one if i == a else zero for i in range(m))
+        yield from comp
         for a in range(m):
             for b in range(a + 1, m):
-                yield tuple(
-                    one if i in (a, b) else zero for i in range(m)
-                )
-                yield cbar[a][b]  # products reach beyond the linear span
-                yield cbar[b][a]
-        rng = random.Random(seed)
-        for _ in range(_GENERATOR_TRIES):
-            if f.is_prime_field:
-                yield tuple(f.convert(rng.randrange(f.p)) for _ in range(m))
-            else:
-                yield tuple(f.convert(rng.randint(-5, 5)) for _ in range(m))
+                yield comp[a] + comp[b]
+                yield comp[a] @ comp[b]  # products reach beyond the linear span
+                yield comp[b] @ comp[a]
+        yield from _random_endos(comp, seed, _GENERATOR_TRIES, 5)
+        yield from _random_endos(endos, seed, max(0, _FITTING_TRIES - d), 3)
 
-    for w in candidates():
-        if not any(w):
-            continue
-        mp = min_poly(left_mult(w))
-        factors = poly_factor_list(mp)
-        if len(factors) >= 2:
-            split = _fitting_split(rep, [lift(w)])
-            if split is not None:  # guaranteed: mp divides the lift's min poly
-                return split
-        elif quotient_commutative and mp.degree == m and factors[0][1] == 1:
-            # E/rad is a field, so E is local
-            return ("indecomposable", True)
-    return None
+    return _fitting_split(rep, candidates(), generates)
 
 
 def _find_splitting(rep: QuiverRep, seed: int = 0):
@@ -885,21 +837,20 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
          isomorphic to k[t]/mu, a local ring.  A local End has no
          idempotent, so no later basis element could split.
     3. The exact analysis of End (_algebra_analysis), when no basis element
-       splits or generates: a local End that no single basis element
-       generates, or a matrix ring such as End(X + X) = M_2(k) for
-       End X = k, none of whose elements generates it, given a basis of
-       primary elements.
-    4. Fitting splits by seeded random combinations of the basis, for what
-       the analysis leaves open (in practice Q with a noncommutative
-       quotient).
+       splits or generates: candidate elements of End read through rad End,
+       for a local End that no single basis element generates, or a matrix
+       ring such as End(X + X) = M_2(k) for End X = k, none of whose
+       elements generates it, given a basis of primary elements.  Its last
+       candidates are seeded random combinations of the basis, for what
+       the quotient's own candidates leave open (in practice Q with a
+       noncommutative quotient).
     """
     endos = hom_basis(rep, rep)
     if len(endos) == 1:
         return ("indecomposable", True)
     return (
-        _fitting_split(rep, endos, len(endos))
+        _fitting_split(rep, endos, lambda mu: mu.degree == len(endos))
         or _algebra_analysis(rep, endos, seed)
-        or _fitting_split(rep, _random_endos(endos, rep, seed))
         or ("indecomposable", False)
     )
 
@@ -909,9 +860,9 @@ def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
     dim End = 1; one pass over the hom basis of End that splits by a basis
     endomorphism with a non-primary minimal polynomial, or certifies
     End = k[phi] local by one whose primary minimal polynomial has degree
-    dim End; the exact radical analysis of End (a split, or a local End);
-    seeded random Fitting splits; and an uncertified "indecomposable" when
-    none of these decides."""
+    dim End; the exact radical analysis of End, which tests candidate
+    elements of End through rad End (a split, or a local End); and an
+    uncertified "indecomposable" when none of these decides."""
     if v.total_dim == 0:
         raise ZeroObject("the zero representation is neither decomposable nor indecomposable")
     kind, payload = _find_splitting(v, seed)

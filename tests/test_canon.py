@@ -91,7 +91,8 @@ def test_tag_text_roundtrip():
 
 
 def test_tag_parse_errors():
-    for bad in ["X:II(1)", "F:II", "F:II()", "F:Weird(1)", "F:0(2,p=t+1)", "F:II(x)"]:
+    for bad in ["X:II(1)", "F:II", "F:II()", "F:Weird(1)", "F:0(2,p=t+1)", "F:II(x)",
+                "K:0(1,p=t+1,s=2,s=1)", "K:0(1,p=t,p=t+1,s=1)"]:
         with pytest.raises(ParseError):
             parse_tag(bad, F2)
 

@@ -383,9 +383,10 @@ class TestCanonNhat:
         assert digest == RELATION_CANON_SHA256
 
     def test_canon_bad_tag(self, capsys):
-        code, _, err = run(capsys, "canon", "K:nope(1)")
-        assert code == 2
-        assert err.startswith("parse error:")
+        for tag in ("K:nope(1)", "K:0(1,p=t+1,s=2,s=1)"):
+            code, _, err = run(capsys, "canon", tag)
+            assert code == 2
+            assert err.startswith("parse error:")
 
     def test_nhat_round_trip(self, capsys):
         code, out, _ = run(capsys, "nhat", "t^2+t+1", "1", "--field", "F2")

@@ -124,14 +124,13 @@ class TestPoly:
 
     def test_arithmetic(self):
         t = Poly.t(F3)
-        p = t * t + Poly.one(F3)  # t^2 + 1
-        assert p.coeffs == (1, 0, 1)
-        q, r = p.divmod(t + Poly.one(F3))
-        assert (q * (t + Poly.one(F3)) + r) == p
+        assert (t * t).coeffs == (0, 0, 1)
+        p = parse_poly(F3, "t+1") * parse_poly(F3, "t+2")  # t^2 + 3t + 2 = t^2 + 2
+        assert p.coeffs == (2, 0, 1)
+        assert p.scale(2).coeffs == (1, 0, 2) and p.scale(2).monic() == p
 
     def test_poly_power(self):
-        t = Poly.t(F2)
-        p = t + Poly.one(F2)
+        p = parse_poly(F2, "t+1")
         assert poly_power(p, 2).coeffs == (1, 0, 1)  # (t+1)^2 = t^2+1 over F2
         with pytest.raises(ValueError):
             poly_power(p, 0)

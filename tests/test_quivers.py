@@ -671,18 +671,10 @@ def test_generator_rung_certifies_family_summands(monkeypatch, field_name, tag):
         assert decompose(rep) == [(rep, 1)]
 
 
-def test_isotypic_sum_without_generator_reaches_the_analysis(monkeypatch):
-    # End(X + X) = M_2(F_2) for X = (1 --1,0--> 1): no element generates it
-    # (minimal polynomials have degree <= 2 < 4).  The canonical hom bases
-    # of the conjugated isotypic sums tried all held a splitting element,
-    # so hand the ladder a basis of primary elements only: I, I + E12,
-    # I + E21 and a companion of t^2+t+1.
-    x = k_rep(F2, [[1]], [[0]])
-    rep = direct_sum(x, x)
-    basis = [
-        RepMorphism(rep, rep, [Matrix.from_rows(F2, rows)] * 2)
-        for rows in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]])
-    ]
+def _ladder_on_basis(monkeypatch, rep, comps):
+    """_find_splitting on rep with the hom basis of End forced to the given
+    per-vertex components; checks that the analysis ran once, on 4 elements."""
+    basis = [RepMorphism(rep, rep, c) for c in comps]
     assert all(h.is_valid() for h in basis)
     calls = []
     analysis = quivers._algebra_analysis
@@ -691,12 +683,40 @@ def test_isotypic_sum_without_generator_reaches_the_analysis(monkeypatch):
         calls.append(len(endos))
         return analysis(rep, endos, seed)
 
-    monkeypatch.setattr(quivers, "hom_basis", lambda v, w: basis if v is w is rep else hom_basis(v, w))
-    monkeypatch.setattr(quivers, "_algebra_analysis", recorded)
-    kind, (bases_a, bases_b) = quivers._find_splitting(rep)
-    assert kind == "split" and calls == [4]
+    with monkeypatch.context() as patch:
+        patch.setattr(quivers, "hom_basis", lambda v, w: basis if v is w is rep else hom_basis(v, w))
+        patch.setattr(quivers, "_algebra_analysis", recorded)
+        out = quivers._find_splitting(rep)
+    assert calls == [4]
+    return out
+
+
+def test_isotypic_sum_without_generator_reaches_the_analysis(monkeypatch):
+    # End(X + X) = M_2(F_2) for X = (1 --1,0--> 1): no element generates it
+    # (minimal polynomials have degree <= 2 < 4).  The canonical hom bases
+    # of the conjugated isotypic sums tried all held a splitting element,
+    # so hand the ladder a basis of primary elements only: I, I + E12,
+    # I + E21 and a companion of t^2+t+1.
+    x = k_rep(F2, [[1]], [[0]])
+    rep = direct_sum(x, x)
+    rows = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]])
+    kind, (bases_a, bases_b) = _ladder_on_basis(
+        monkeypatch, rep, [[Matrix.from_rows(F2, r)] * 2 for r in rows]
+    )
+    assert kind == "split"
     pieces = [quivers._restrict_to_bases(rep, b) for b in (bases_a, bases_b)]
     assert [piece.dims for piece in pieces] == [(1, 1), (1, 1)]
+    # End = F_2[C] = F_2[t]/p^2 for p = t^2+t+1, with rad spanned by x = p(C)
+    # and u x, where u = C^2 + I has minimal polynomial p: the basis
+    # {I, u, x, u x} has minimal polynomials of degrees 1, 2, 2, 2 < 4, and
+    # only the analysis certifies End local, through u generating E/rad = F_4
+    rep = canon_rep(parse_tag("K:0(4,p=t^2+t+1,s=2)", F2), F2)
+    c, one = rep.mats[1], Matrix.identity(F2, 4)
+    u, x = c @ c + one, c @ c + c + one
+    assert _ladder_on_basis(monkeypatch, rep, [[m, m] for m in (one, u, x, u @ x)]) == (
+        "indecomposable",
+        True,
+    )
 
 
 def _criterion_8_style_reps(field, count, seed):

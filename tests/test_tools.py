@@ -56,17 +56,20 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert rows["objects_per_s"] == {
         "metric": "objects_per_s", "pairs": 5, "parent": (2, 3, 4), "change": (6, 7, 8),
         "wins": 4, "parent_iqr": 2, "gain": False,  # 4 of 5 pairs is under nine tenths
-        "regression": False,
+        # quartile distances of 2 exceed the bound's margin, 0.25 * 3, and
+        # the change's run of 2 loses to three parent runs
+        "regression": False, "unresolved": True,
     }
     op = rows["op_p50_ms"]
     # a tie (6 against 6) is no win
     assert (op["parent"], op["change"], op["wins"], op["gain"]) == ((6, 7, 8), (4, 5, 6), 3, False)
-    assert op["regression"] is None  # no bound given
+    assert op["regression"] is None and op["unresolved"] is None  # no bound given
     assert rows["failed"]["wins"] is None and rows["failed"]["gain"] is None
     assert rows["failed"]["regression"] is None
     text = bench_pairs.format_summary([rows["objects_per_s"]])
     assert text.splitlines()[1] == (
-        "objects_per_s: 3 (2-4) -> 7 (6-8), wins 4/5, parent iqr 2, gain no, regression no"
+        "objects_per_s: 3 (2-4) -> 7 (6-8), wins 4/5, parent iqr 2, gain no, "
+        "regression no (unresolved)"
     )
     # a median worse than the parent's by more than the metric's bound
     # regresses: 111 against 100 breaches a 10% bound, 109 holds it
@@ -75,10 +78,23 @@ def test_bench_pairs_summary_on_fixed_numbers():
     breached = bench_pairs.summarize(rss, [{"peak_rss_mb": v + 11} for v in (98, 99, 100, 101, 102)],
                                      lower, rss_bound)[0]
     assert (breached["change"][1], breached["regression"]) == (111, True)
+    assert breached["unresolved"] is None
     assert bench_pairs.format_summary([breached]).endswith("gain no, regression yes\n")
     held = bench_pairs.summarize(rss, [{"peak_rss_mb": v + 9} for v in (98, 99, 100, 101, 102)],
                                  lower, rss_bound)[0]
-    assert (held["change"][1], held["regression"]) == (109, False)
+    assert (held["change"][1], held["regression"], held["unresolved"]) == (109, False, False)
+    assert bench_pairs.format_summary([held]).endswith("gain no, regression no\n")
+    # a spread wider than the bound: parent quartiles 80-120 against a
+    # margin of 10, so a median within the bound is unresolved, not unchanged
+    spread = [{"peak_rss_mb": v} for v in (60, 80, 100, 120, 140)]
+    wide = bench_pairs.summarize(spread, [{"peak_rss_mb": v + 5} for v in (60, 80, 100, 120, 140)],
+                                 lower, rss_bound)[0]
+    assert (wide["regression"], wide["unresolved"]) == (False, True)
+    assert bench_pairs.format_summary([wide]).endswith("regression no (unresolved)\n")
+    # the same spread with every change run below every parent run is resolved
+    below = bench_pairs.summarize(spread, [{"peak_rss_mb": v} for v in (50, 52, 54, 56, 58)],
+                                  lower, rss_bound)[0]
+    assert (below["regression"], below["unresolved"]) == (False, False)
     # directions and bounds as this repository's BENCHMARK.json states them
     better, bounds = bench_pairs.metric_specs(ROOT)
     assert (better["objects_per_s"], better["peak_rss_mb"]) == ("higher", "lower")

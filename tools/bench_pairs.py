@@ -16,7 +16,11 @@ tenths of them and the medians differ in its favour by more than that
 distance, and no larger share of the change's operations fails (failed over attempted, summed over
 its runs).  A metric regresses when the change's median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, a share of
-the parent's median; metrics without a bound get no verdict.  Every run
+the parent's median; metrics without a bound get no verdict.  A bounded
+metric that does not regress is unresolved when either side's quartile
+distance exceeds that share, unless every run of the change beats every
+run of the parent: the runs then spread too widely to call it unchanged.
+Every run
 has perfbench's own fixed length, untraced.  The raw
 results of every run go to stderr as they arrive, one JSON line each.
 """
@@ -72,7 +76,9 @@ def summarize(parent: list, change: list, better: dict, bounds: dict | None = No
     direction gets no wins and no gain, and no metric gains on fewer than
     ten pairs or when a larger share of the change's operations fails.  A metric with a direction and
     a bound regresses when the change's median is worse than the parent's
-    by more than bound times the parent's median."""
+    by more than bound times the parent's median, and one that does not is
+    unresolved when either side's quartile distance exceeds that margin,
+    unless every change run beats every parent run."""
     bounds = bounds or {}
     more_failures = failed_share(change) > failed_share(parent)
     rows = []
@@ -84,18 +90,22 @@ def summarize(parent: list, change: list, better: dict, bounds: dict | None = No
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
         direction = better.get(name)
-        wins = gain = regression = None
+        wins = gain = regression = unresolved = None
         if direction is not None:
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
             gain = (len(p) >= 10 and wins >= 0.9 * len(p)
                     and sign * (c_med - p_med) > p_q3 - p_q1 and not more_failures)
             if name in bounds:
-                regression = sign * (p_med - c_med) > bounds[name] * abs(p_med)
+                margin = bounds[name] * abs(p_med)
+                regression = sign * (p_med - c_med) > margin
+                if not regression:
+                    unresolved = (max(p_q3 - p_q1, c_q3 - c_q1) > margin
+                                  and not all(sign * (b - a) > 0 for a in p for b in c))
         rows.append({
             "metric": name, "pairs": len(p), "parent": (p_q1, p_med, p_q3),
             "change": (c_q1, c_med, c_q3), "wins": wins, "parent_iqr": p_q3 - p_q1,
-            "gain": gain, "regression": regression,
+            "gain": gain, "regression": regression, "unresolved": unresolved,
         })
     return rows
 
@@ -108,6 +118,8 @@ def format_summary(rows: list) -> str:
         wins = "-" if row["wins"] is None else f"{row['wins']}/{row['pairs']}"
         gain, regression = ("-" if row[key] is None else ("yes" if row[key] else "no")
                             for key in ("gain", "regression"))
+        if row["unresolved"]:
+            regression += " (unresolved)"
         lines.append(
             f"{row['metric']}: {pm:.6g} ({pq1:.6g}-{pq3:.6g}) -> {cm:.6g} ({cq1:.6g}-{cq3:.6g}), "
             f"wins {wins}, parent iqr {row['parent_iqr']:.6g}, gain {gain}, "
