@@ -131,10 +131,7 @@ def parse_tag(text: str, field: FieldSpec) -> IndecompTag:
     parts = [p.strip() for p in args.split(",")] if args.strip() else []
     if not parts:
         raise ParseError(f"tag {text!r} is missing the index n")
-    try:
-        n = int(parts[0])
-    except ValueError:
-        raise ParseError(f"bad index {parts[0]!r} in tag {text!r}") from None
+    n = _ascii_natural(parts[0], f"bad index {parts[0]!r} in tag {text!r}")
     poly = None
     power = None
     for part in parts[1:]:
@@ -146,15 +143,21 @@ def parse_tag(text: str, field: FieldSpec) -> IndecompTag:
         if key == "p":
             poly = parse_poly(field, value)
         elif key == "s":
-            try:
-                power = int(value)
-            except ValueError:
-                raise ParseError(f"bad power {value!r}") from None
+            power = _ascii_natural(value.strip(), f"bad power {value!r}")
         else:
             raise ParseError(f"unknown tag argument {key!r}")
     if (poly is None) != (power is None):
         raise ParseError("tag must supply both p and s or neither")
     return IndecompTag(head, _TEXT_TYPE[type_text], n, poly, power)
+
+
+def _ascii_natural(text: str, error: str) -> int:
+    """text as an int when it is ASCII decimal digits alone (int() also
+    takes a sign, underscores and the digits of other scripts); raises
+    ParseError(error) otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(error)
+    return int(text)
 
 
 # -- family constructors ---------------------------------------------------------

@@ -81,7 +81,7 @@ class FieldSpec:
         name = name.strip()
         if name == "Q":
             return FieldSpec(None)
-        m = re.fullmatch(r"F(\d+)", name)
+        m = re.fullmatch(r"F([0-9]+)", name)
         if not m:
             raise ParseError(f"unknown field {name!r} (expected F<p> or Q)")
         try:
@@ -161,9 +161,10 @@ class FieldSpec:
     # -- text form ---------------------------------------------------------
 
     def parse_scalar(self, text: str):
-        """Parse ``-?digits`` or ``-?digits/digits`` into a raw value."""
+        """Parse ``-?digits`` or ``-?digits/digits`` into a raw value, with
+        ASCII digits only."""
         text = text.strip()
-        m = re.fullmatch(r"(-?\d+)(?:/([1-9]\d*))?", text)
+        m = re.fullmatch(r"(-?[0-9]+)(?:/([1-9][0-9]*))?", text)
         if not m:
             raise ParseError(f"bad scalar {text!r}")
         num = int(m.group(1))
@@ -299,7 +300,7 @@ def poly_power(p: Poly, s: int) -> Poly:
 # -- text form --------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)(?P<coef>\d+(?:/[1-9]\d*)?)?(?P<var>t(?:\^(?P<exp>\d+))?)?$"
+    r"(?P<sign>[+-]?)(?P<coef>[0-9]+(?:/[1-9][0-9]*)?)?(?P<var>t(?:\^(?P<exp>[0-9]+))?)?"
 )
 
 
@@ -314,7 +315,7 @@ def parse_poly(field: FieldSpec, text: str) -> Poly:
     coeffs: dict[int, object] = {}
     f = field
     for term in terms:
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ParseError(f"bad polynomial term {term!r} in {text!r}")
         coef_text = m.group("coef")

@@ -19,9 +19,12 @@ The list passes hand back each pivot row as its nonzero (column, entry)
 pairs, pivot first, and update the rows below only at those columns,
 since hom systems are sparse.  Ranks, pivots (Matrix.rank,
 is_invertible, column_span_basis, hom_dim) need that pass alone.
-kernel_vectors, kernel_basis and solve read their vectors off the pivot
-rows by back substitution (_back_substitute), and rref reads the reduced
-form off those vectors; no backward pass runs.
+Back substitution (_back_substitute) reads vectors off the pivot rows one
+at a time, each only when its caller reads it, so a hom space whose
+caller stops early (quivers._hom_space) builds only the vectors it reads.
+kernel_vectors, kernel_basis and solve take every vector, and rref reads
+the reduced form off the vectors of the free columns with a pivot to
+their left; no backward pass runs.
 
 numpy int64 is used only where p < 2^20 (_NP_PRIME_LIMIT), so that no
 product or sum of products can overflow: products, minimal polynomials
@@ -271,10 +274,11 @@ def rref(m: Matrix) -> RrefResult:
     Read off the canonical kernel vectors of one forward pass
     (_back_substitute): reduced row i is 1 at its pivot and, at each free
     column fc, minus entry pivots[i] of fc's kernel vector, which is 0
-    unless the pivot lies left of fc; the rows past the rank are zero."""
+    unless the pivot lies left of fc; the rows past the rank are zero.  So
+    only the free columns with a pivot to their left get a vector."""
     f, cols = m.field, m.cols
     rows, pivots = echelon(f, _system_rows(m))
-    free = _free_columns(pivots, cols)
+    free = [(fc, k) for fc, k in _free_columns(pivots, cols) if k]
     zero, one, neg = f.zero(), f.one(), f.neg
     entries = [zero] * (m.rows * cols)
     for i, pc in enumerate(pivots):
@@ -475,7 +479,7 @@ def kernel_vectors(f: FieldSpec, rows: list, cols: int) -> list[list]:
     forward pass by back substitution (_back_substitute).  Lists over odd
     p are the forward pass's work space."""
     pivot_rows, pivots = echelon(f, rows)
-    return _back_substitute(f, pivot_rows, pivots, cols, _free_columns(pivots, cols))
+    return list(_back_substitute(f, pivot_rows, pivots, cols, _free_columns(pivots, cols)))
 
 
 def _free_columns(pivots: tuple, cols: int) -> list:
@@ -490,25 +494,24 @@ def _free_columns(pivots: tuple, cols: int) -> list:
     return out
 
 
-def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: list) -> list:
-    """For each (free column fc, k) in free, the vector that is 1 at fc and 0
-    at every other free column and that the pivot rows of echelon
-    annihilate.  Its entries right of fc are 0, so only the first k rows,
-    those with a pivot left of fc, take part: from the last of them up,
-    each row fixes its pivot entry from its tail, the entries right of it."""
+def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: list):
+    """Yields, for each (free column fc, k) in free, the vector that is 1 at
+    fc and 0 at every other free column and that the pivot rows of echelon
+    annihilate, each one only when it is read.  Its entries right of fc are
+    0, so only the first k rows, those with a pivot left of fc, take part:
+    from the last of them up, each row fixes its pivot entry from its tail,
+    the entries right of it."""
     p = f.p
     if p == 2:
         pivot_bits = [1 << pc for pc in pivots]
-        out = []
         for fc, k in free:
             v = 1 << fc
             for i in range(k - 1, -1, -1):
                 if (rows[i] & v).bit_count() & 1:
                     v |= pivot_bits[i]
-            out.append([(v >> j) & 1 for j in range(cols)])
-        return out
+            yield [(v >> j) & 1 for j in range(cols)]
+        return
     tails = [row[1:] for row in rows]
-    out = []
     for fc, k in free:
         vec = [0] * cols
         vec[fc] = 1
@@ -532,8 +535,7 @@ def _back_substitute(f: FieldSpec, rows: list, pivots: tuple, cols: int, free: l
         if p is None:
             den = vec[fc]
             vec = [_Q_ZERO if not x else _Q_ONE if x == den else Fraction(x, den) for x in vec]
-        out.append(vec)
-    return out
+        yield vec
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -560,7 +562,7 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if pivots and pivots[-1] >= n:
         return None
     free = [(n + j, len(pivots)) for j in range(b.cols)]
-    vectors = _back_substitute(f, pivot_rows, pivots, cols, free)
+    vectors = list(_back_substitute(f, pivot_rows, pivots, cols, free))
     return Matrix(f, n, b.cols, [vec[i] for i in range(n) for vec in vectors])
 
 

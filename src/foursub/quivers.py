@@ -35,6 +35,8 @@ from .errors import (
 from .fields import FieldSpec, coprime_split
 from .matrices import (
     Matrix,
+    _back_substitute,
+    _free_columns,
     column_span_basis,
     direct_sum as mat_direct_sum,
     echelon,
@@ -42,7 +44,6 @@ from .matrices import (
     inverse,
     is_invertible,
     kernel_basis,
-    kernel_vectors,
     min_poly,
     poly_eval_matrix,
     random_matrix,
@@ -332,25 +333,39 @@ class RepMorphism:
 
 def hom_basis(v: QuiverRep, w: QuiverRep) -> list[RepMorphism]:
     """Canonical basis of Hom(v, w): the canonical null-space basis
-    (kernel_basis) of the commutation system of _hom_system, which
-    matrices.kernel_vectors reduces and reads the basis off."""
-    f = v.field
-    rows, offsets, total = _hom_system(v, w)
-    result = []
-    for vec in kernel_vectors(f, rows, total):
-        comps = tuple(
-            Matrix(f, nw, nv, vec[off : off + nw * nv])
-            for off, nv, nw in zip(offsets, v.dims, w.dims)
-        )
-        result.append(RepMorphism._trusted(v, w, comps))
-    return result
+    (kernel_basis) of the commutation system of _hom_system, every element
+    of _hom_space's stream."""
+    return list(_hom_space(v, w)[1])
 
 
 def hom_dim(v: QuiverRep, w: QuiverRep) -> int:
     """dim Hom(v, w): the number of unknowns minus the rank of the
     commutation system, with no basis built."""
-    rows, _, total = _hom_system(v, w)
-    return total - len(echelon(v.field, rows)[1])
+    return _hom_space(v, w)[0]
+
+
+def _hom_space(v: QuiverRep, w: QuiverRep) -> tuple:
+    """(dim Hom(v, w), the canonical basis of hom_basis as an iterator).
+
+    The dimension is the number of unknowns minus the rank of one forward
+    pass (matrices.echelon) over the commutation system.  Each basis
+    element is back-substituted and assembled into its per-vertex
+    components only when the caller reads it, so a caller that stops at
+    the first element it needs builds no other."""
+    f = v.field
+    rows, offsets, total = _hom_system(v, w)
+    pivot_rows, pivots = echelon(f, rows)
+
+    def basis():
+        free = _free_columns(pivots, total)
+        for vec in _back_substitute(f, pivot_rows, pivots, total, free):
+            comps = tuple(
+                Matrix(f, nw, nv, vec[off : off + nw * nv])
+                for off, nv, nw in zip(offsets, v.dims, w.dims)
+            )
+            yield RepMorphism._trusted(v, w, comps)
+
+    return total - len(pivots), basis()
 
 
 def _hom_system(v: QuiverRep, w: QuiverRep) -> tuple:
@@ -474,8 +489,9 @@ def summand_projections(reps: list[QuiverRep]) -> list[RepMorphism]:
 # -- isomorphism testing --------------------------------------------------------
 
 
-def _first_invertible(homs: list[RepMorphism]) -> Optional[RepMorphism]:
-    """The first morphism in homs that is invertible at every vertex."""
+def _first_invertible(homs) -> Optional[RepMorphism]:
+    """The first morphism homs yields that is invertible at every vertex;
+    homs is read no further."""
     for h in homs:
         # check the smallest components first for an early exit
         if all(is_invertible(c) for c in sorted(h.comps, key=lambda c: c.rows)):
@@ -484,7 +500,8 @@ def _first_invertible(homs: list[RepMorphism]) -> Optional[RepMorphism]:
 
 
 def _iso_to_indecomposable(v: QuiverRep, w: QuiverRep) -> Optional[RepMorphism]:
-    """An isomorphism v -> w taken from the basis of Hom(v, w), or None.
+    """An isomorphism v -> w taken from the basis of Hom(v, w), or None;
+    the basis is built only up to the first invertible element.
 
     None is certified when v or w is indecomposable.  Its endomorphism ring
     is then local, so if phi: v -> w is an isomorphism the non-invertible
@@ -494,7 +511,7 @@ def _iso_to_indecomposable(v: QuiverRep, w: QuiverRep) -> Optional[RepMorphism]:
     """
     if v.dims != w.dims:
         return None
-    return _first_invertible(hom_basis(v, w))
+    return _first_invertible(_hom_space(v, w)[1])
 
 
 def find_isomorphism(v: QuiverRep, w: QuiverRep, seed: int = 0) -> Optional[RepMorphism]:
@@ -522,11 +539,11 @@ def find_isomorphism(v: QuiverRep, w: QuiverRep, seed: int = 0) -> Optional[RepM
         return None
     if v.total_dim == 0:
         return RepMorphism(v, w, [Matrix.zeros(v.field, 0, 0) for _ in v.dims])
-    homs = hom_basis(v, w)
+    dim, homs = _hom_space(v, w)
     found = _first_invertible(homs)
     if found is not None:
         return found
-    if not len(homs) == end_dim(v) == end_dim(w):
+    if not dim == end_dim(v) == end_dim(w):
         return None
     unmatched = _pieces(w, seed)
     matched = []  # (inclusion into v, inclusion into w, piece isomorphism)
@@ -828,9 +845,11 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
 
     The rungs, in order:
 
-    1. dim End = 1: End = k is local.
+    1. dim End = 1, read off the forward pass of End's commutation system
+       with no element built: End = k is local.
     2. One pass over the hom basis of End, with the minimal polynomial
-       mu of each basis endomorphism phi:
+       mu of each basis endomorphism phi, each element built only when the
+       pass reaches it:
        * mu not primary: a Fitting split by phi (Fitting's lemma);
        * mu primary of degree dim End: the generator rung.  Then
          1, phi, ..., phi^(deg mu - 1) are independent, so End = k[phi],
@@ -843,13 +862,20 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
        elements generates it, given a basis of primary elements.  Its last
        candidates are seeded random combinations of the basis, for what
        the quotient's own candidates leave open (in practice Q with a
-       noncommutative quotient).
+       noncommutative quotient).  The pass has read the whole basis by then.
     """
-    endos = hom_basis(rep, rep)
-    if len(endos) == 1:
+    dim, stream = _hom_space(rep, rep)
+    if dim == 1:
         return ("indecomposable", True)
+    endos = []  # the elements the basis pass has read
+
+    def basis():
+        for phi in stream:
+            endos.append(phi)
+            yield phi
+
     return (
-        _fitting_split(rep, endos, lambda mu: mu.degree == len(endos))
+        _fitting_split(rep, basis(), lambda mu: mu.degree == dim)
         or _algebra_analysis(rep, endos, seed)
         or ("indecomposable", False)
     )
@@ -857,12 +883,13 @@ def _find_splitting(rep: QuiverRep, seed: int = 0):
 
 def is_indecomposable(v: QuiverRep, seed: int = 0) -> IndecompVerdict:
     """Layered, certified except for the last rung (see _find_splitting):
-    dim End = 1; one pass over the hom basis of End that splits by a basis
-    endomorphism with a non-primary minimal polynomial, or certifies
-    End = k[phi] local by one whose primary minimal polynomial has degree
-    dim End; the exact radical analysis of End, which tests candidate
-    elements of End through rad End (a split, or a local End); and an
-    uncertified "indecomposable" when none of these decides."""
+    dim End = 1, read off the forward pass with no element of End built;
+    one pass over the hom basis of End, built as it is read, that splits
+    by a basis endomorphism with a non-primary minimal polynomial, or
+    certifies End = k[phi] local by one whose primary minimal polynomial
+    has degree dim End; the exact radical analysis of End, which tests
+    candidate elements of End through rad End (a split, or a local End);
+    and an uncertified "indecomposable" when none of these decides."""
     if v.total_dim == 0:
         raise ZeroObject("the zero representation is neither decomposable nor indecomposable")
     kind, payload = _find_splitting(v, seed)

@@ -102,9 +102,8 @@ def _parse_matrix(field: FieldSpec, lines: _Lines, rows: int, cols=None) -> Matr
 
 def _parse_dims(text: str, count: int, num_hint: str) -> tuple:
     parts = text.split()
-    if len(parts) != count or not all(
-        p.isdigit() or (p.startswith("-") and p[1:].isdigit()) for p in parts
-    ):
+    digits = [p.removeprefix("-") for p in parts]  # a sign only to say "negative"
+    if len(parts) != count or not all(d.isascii() and d.isdigit() for d in digits):
         raise ParseError(f"{num_hint}: expected {count} non-negative integers")
     dims = tuple(int(p) for p in parts)
     if any(d < 0 for d in dims):

@@ -92,7 +92,10 @@ def test_tag_text_roundtrip():
 
 def test_tag_parse_errors():
     for bad in ["X:II(1)", "F:II", "F:II()", "F:Weird(1)", "F:0(2,p=t+1)", "F:II(x)",
-                "K:0(1,p=t+1,s=2,s=1)", "K:0(1,p=t,p=t+1,s=1)"]:
+                "K:0(1,p=t+1,s=2,s=1)", "K:0(1,p=t,p=t+1,s=1)",
+                # n and s are ASCII digits with no sign, which int() alone allows
+                "K:I(1_0)", "K:I(+1)", "K:I(-1)", "K:I(١)", "K:I(²)", "K:0(1,p=t+١,s=1)",
+                "K:0(1,p=t+1,s=+1)", "K:0(1,p=t+1,s=١)", "K:0(1,p=t+1,s=1_0)"]:
         with pytest.raises(ParseError):
             parse_tag(bad, F2)
 

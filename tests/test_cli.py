@@ -633,3 +633,13 @@ class TestExitCodes:
     def test_bad_field_flag(self, capsys):
         code, _, err = run(capsys, "canon", "K:I(1)", "--field", "F6")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "tag, field_name",
+        [("K:I(1_0)", "F2"), ("K:I(+1)", "F2"), ("K:I(١)", "F2"),
+         ("K:0(1,p=t+١,s=1)", "F2"), ("K:0(1,p=t+1,s=+1)", "F2"), ("K:I(1)", "F٥")],
+    )
+    def test_non_ascii_and_signed_numbers_rejected(self, capsys, tag, field_name):
+        code, out, err = run(capsys, "canon", tag, "--field", field_name)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")

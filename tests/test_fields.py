@@ -31,7 +31,8 @@ class TestFieldSpec:
         assert FieldSpec.from_name("Q") == QQ
 
     def test_from_name_rejects_garbage(self):
-        for bad in ["F4", "F1", "F", "q", "GF2", "2", "F-3"]:
+        # ASCII digits only: re's \d and int() also take other scripts' digits
+        for bad in ["F4", "F1", "F", "q", "GF2", "2", "F-3", "F٥", "F+5", "F5_0", "F²"]:
             with pytest.raises(ParseError):
                 FieldSpec.from_name(bad)
 
@@ -101,6 +102,9 @@ class TestFieldSpec:
             QQ.parse_scalar("3/0")
         with pytest.raises(ParseError):
             F2.parse_scalar("x")
+        for bad in ["١", "-٣", "1/٢", "+1", "1_0", "²", "3/0٢"]:
+            with pytest.raises(ParseError):
+                F5.parse_scalar(bad)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
@@ -156,6 +160,9 @@ class TestPoly:
             parse_poly(F2, "")
         with pytest.raises(ParseError):
             parse_poly(F2, "u+1")
+        for bad in ["t+١", "t^٢+1", "٢t+1", "t^²", "t+1_0", "t+1\n"]:
+            with pytest.raises(ParseError):
+                parse_poly(F5, bad)
 
 
 class TestIrreducibility:

@@ -467,6 +467,30 @@ def test_rref_matches_sympy(field):
         assert column_span_basis(m) == m.select_cols(pivots), label
 
 
+def test_rref_back_substitutes_only_free_columns_right_of_a_pivot(monkeypatch):
+    # a reduced row has an entry at free column fc only when its pivot lies
+    # left of fc, so rref back-substitutes no vector for a free column with
+    # no pivot to its left, and none at all for a matrix with no rows
+    from foursub import matrices
+
+    seen = []
+    back_substitute = matrices._back_substitute
+
+    def recorded(f, rows, pivots, cols, free):
+        seen.extend(free)
+        return back_substitute(f, rows, pivots, cols, free)
+
+    monkeypatch.setattr(matrices, "_back_substitute", recorded)
+    for field in (F2, F5, QQ):
+        seen.clear()
+        assert rref(Matrix.zeros(field, 0, 4)) == (Matrix.zeros(field, 0, 4), 0, ())
+        assert seen == []
+        seen.clear()
+        red = rref(M(field, [[0, 1, 0, 1, 1], [0, 0, 0, 1, 1]]))
+        assert red.pivot_cols == (1, 3)
+        assert seen == [(2, 1), (4, 2)]
+
+
 @pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
 def test_solve_matches_sympy(field):
     # solve reads column j of X off [a | -b] by back substitution; sympy's
@@ -528,6 +552,40 @@ def test_hom_dim_is_hom_basis_length(field):
                 basis = hom_basis(x, y)
                 assert hom_dim(x, y) == len(basis) == nullity, (name, x.dims, y.dims)
                 assert all(phi.is_valid() for phi in basis)
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.name)
+def test_hom_space_reader_matches_hom_dim_and_hom_basis(monkeypatch, field):
+    # the reader's dim is hom_dim, and its stream is hom_basis one element
+    # at a time, each built only when it is read
+    from foursub import quivers
+    from foursub.quivers import QUIVERS, RepMorphism, direct_sum, random_conjugate, random_rep
+
+    built = []
+    trusted = RepMorphism._trusted
+
+    def counting(source, target, comps):
+        built.append(comps)
+        return trusted(source, target, comps)
+
+    rng = random.Random(24)
+    for name in ("F", "D", "K", "C"):
+        quiver = QUIVERS[name]
+        for _ in range(4):
+            v = random_rep(field, quiver, [rng.randint(0, 2) for _ in quiver.vertices], rng)
+            u = random_rep(field, quiver, [rng.randint(0, 2) for _ in quiver.vertices], rng)
+            w = random_conjugate(direct_sum(v, u), rng)
+            for x, y in ((v, w), (w, v), (w, w), (u, u)):
+                basis = quivers.hom_basis(x, y)
+                dim, stream = quivers._hom_space(x, y)
+                assert dim == quivers.hom_dim(x, y) == len(basis), (name, x.dims, y.dims)
+                with monkeypatch.context() as patch:
+                    patch.setattr(RepMorphism, "_trusted", staticmethod(counting))
+                    built.clear()
+                    for k, phi in enumerate(stream):
+                        assert len(built) == k + 1
+                        assert phi == basis[k], (name, x.dims, y.dims, k)
+                    assert len(built) == dim
 
 
 @st.composite

@@ -673,18 +673,22 @@ def test_generator_rung_certifies_family_summands(monkeypatch, field_name, tag):
 
 def _ladder_on_basis(monkeypatch, rep, comps):
     """_find_splitting on rep with the hom basis of End forced to the given
-    per-vertex components; checks that the analysis ran once, on 4 elements."""
+    per-vertex components, through the hom-space reader; checks that the
+    analysis ran once, on 4 elements."""
     basis = [RepMorphism(rep, rep, c) for c in comps]
     assert all(h.is_valid() for h in basis)
     calls = []
-    analysis = quivers._algebra_analysis
+    analysis, reader = quivers._algebra_analysis, quivers._hom_space
 
     def recorded(rep, endos, seed):
         calls.append(len(endos))
         return analysis(rep, endos, seed)
 
+    def forced(v, w):
+        return (len(basis), iter(basis)) if v is w is rep else reader(v, w)
+
     with monkeypatch.context() as patch:
-        patch.setattr(quivers, "hom_basis", lambda v, w: basis if v is w is rep else hom_basis(v, w))
+        patch.setattr(quivers, "_hom_space", forced)
         patch.setattr(quivers, "_algebra_analysis", recorded)
         out = quivers._find_splitting(rep)
     assert calls == [4]
@@ -717,6 +721,45 @@ def test_isotypic_sum_without_generator_reaches_the_analysis(monkeypatch):
         "indecomposable",
         True,
     )
+
+
+def test_ladder_builds_only_the_end_elements_it_reads(monkeypatch):
+    # the basis pass reads End one element at a time and stops at the first
+    # that decides, so every End element built is one it read; a piece with
+    # dim End = 1 is decided off the forward pass, with no element built
+    built, read = [], []
+    trusted, fitting = RepMorphism._trusted, quivers._fitting_split
+
+    def counting(source, target, comps):
+        built.append(source is target)
+        return trusted(source, target, comps)
+
+    def tapped(rep, candidates, generates):
+        def tap():
+            for phi in candidates:
+                read.append(phi)
+                yield phi
+
+        return fitting(rep, tap(), generates)
+
+    monkeypatch.setattr(RepMorphism, "_trusted", staticmethod(counting))
+    monkeypatch.setattr(quivers, "_fitting_split", tapped)
+    parts = [canon_rep(parse_tag(t, F5), F5) for t in ("K:I(1)", "K:II(1)", "K:0(1,p=t+2,s=1)")]
+    unread = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        rep = random_conjugate(direct_sum(*parts), rng)
+        built.clear()
+        read.clear()
+        assert quivers._find_splitting(rep)[0] == "split"
+        assert built == [True] * len(read) and read
+        unread += end_dim(rep) - len(read)
+        piece = random_conjugate(parts[0], rng)
+        built.clear()
+        read.clear()
+        assert quivers._find_splitting(piece) == ("indecomposable", True)
+        assert built == read == []
+    assert unread > 0
 
 
 def _criterion_8_style_reps(field, count, seed):

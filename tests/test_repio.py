@@ -218,6 +218,15 @@ class TestParseErrors:
             "field: F2\nobject: rep\nquiver: K\ndims: -1 1\n", match="negative"
         )
 
+    @pytest.mark.parametrize("dims", ["² 1", "١ 1", "+1 1", "1_0 1", "- 1", "--1 1"])
+    def test_dims_take_ascii_digits_only(self, dims):
+        self.assert_rejects(
+            f"field: F2\nobject: rep\nquiver: K\ndims: {dims}\n", match="expected 2"
+        )
+
+    def test_spaces_take_ascii_digits_only(self):
+        self.assert_rejects("field: F2\nobject: linrel\nspaces: ١ 1\n", match="expected 2")
+
     def test_arrows_out_of_order(self):
         self.assert_rejects(
             "field: F2\nobject: rep\nquiver: K\ndims: 1 1\n"
