@@ -11,10 +11,12 @@ entry is the pair whose S-representation is the S entry of the same type,
 and a LinRel1 entry is the inverse of the relation whose K-representation
 is the K entry of the same type.
 The tables are complete up to isomorphism *and* symmetry of the ambient
-configuration: classification therefore runs in two stages — direct
-matching inside the category first, then matching of the embedded
-four-subspace representations under all arm permutations, which absorbs
-every category symmetry (source swaps, relation inversion, and so on).
+configuration, so an object is matched, inside its own category, against
+entries in two stages: the canonical representatives first, then, for
+each arm permutation of the embedded four-subspace representations, the
+object whose permuted embedding is an embedded canonical representative,
+pulled back by functors.in_image.  The permutations absorb every category
+symmetry (source swaps, relation inversion, and so on).
 """
 
 from __future__ import annotations
@@ -763,26 +765,25 @@ def arm_permute(rep: QuiverRep, perm: tuple) -> QuiverRep:
 _FUNCTOR_OF = {source: i for i, source in FUNCTOR_SOURCES.items()}
 
 
-def _embed(category: str, obj):
-    if category == "F":
-        return obj
-    return apply_functor(_FUNCTOR_OF[category], obj)
-
-
-def trial_preimage(category: str, perm: tuple, target: QuiverRep):
-    """An object X of the category with arm_permute(_embed(X), perm)
-    isomorphic to target, or None when there is none: arm_permute(target,
-    perm^-1), pulled back into the category by functors.in_image.  The
-    embedding is full and faithful, so X is unique up to isomorphism."""
-    rep = arm_permute(target, tuple(perm.index(i) for i in range(4)))
-    if category == "F":
+@lru_cache(maxsize=4096)
+def _embedded_canon(tag: IndecompTag, field: FieldSpec) -> QuiverRep:
+    rep = canon_rep(tag, field)
+    if tag.category == "F":
         return rep
-    return in_image(_FUNCTOR_OF[category], rep).witness
+    return apply_functor(_FUNCTOR_OF[tag.category], rep)
 
 
 @lru_cache(maxsize=4096)
-def _embedded_canon(tag: IndecompTag, field: FieldSpec) -> QuiverRep:
-    return _embed(tag.category, canon_rep(tag, field))
+def _pulled_back(tag: IndecompTag, perm: tuple, field: FieldSpec):
+    """The object X of tag's category with arm_permute(E(X), perm)
+    isomorphic to E(canon_rep(tag)), E its embedding in F, or None when
+    there is none: arm_permute(E(canon_rep(tag)), perm^-1), pulled back by
+    functors.in_image.  E is full and faithful, so X is unique up to
+    isomorphism, and indecomposable."""
+    rep = arm_permute(_embedded_canon(tag, field), tuple(perm.index(i) for i in range(4)))
+    if tag.category == "F":
+        return rep
+    return in_image(_FUNCTOR_OF[tag.category], rep).witness
 
 
 def _basis_iso(category: str, a, b) -> bool:
@@ -809,24 +810,25 @@ def _category_of(obj) -> str:
 
 def table_trials(category: str, shape: tuple, field: FieldSpec, candidates=None):
     """The table entries an indecomposable of the given shape is matched
-    against, in the order classify_indecomposable tries them, as
-    (tag, perm, entry) triples; the first that matches names the object.
+    against, in the order classify_indecomposable tries them, as (tag,
+    entry) pairs; each entry is an object of the category with that shape,
+    and the first entry isomorphic to the object names it.
 
-    Stage one: each tag of the shape, with perm None and entry its
-    canonical representative; the object matches when it is isomorphic to
-    entry.  Stage two: each tag whose embedded four-subspace representation
-    has the object's embedded total dimension, with each arm permutation
-    perm that takes the object's embedded dims to those of entry, the
-    embedded canonical representative; the object X matches when
-    arm_permute(_embed(X), perm) is isomorphic to entry.  Stage two absorbs
-    the symmetries the tables quotient out.  Its tags and permutations are
-    listed only once stage one is exhausted.
+    Stage one: each tag of the shape, with its canonical representative.
+    Stage two absorbs the symmetries the tables quotient out: each tag
+    whose embedded four-subspace representation has the shape's embedded
+    total dimension, with each arm permutation perm that takes the shape's
+    embedded dims to those of the tag, and the pullback _pulled_back(tag,
+    perm); pairs with no pullback are skipped.  An object X matches such an
+    entry exactly when arm_permute(E(X), perm) is isomorphic to the tag's
+    embedded representative.  Stage two's tags, permutations and pullbacks
+    are built only once the trials before them are exhausted.
     """
     for tag in _tags_for_shape(category, shape, field, candidates):
-        yield tag, None, canon_rep(tag, field)
+        yield tag, canon_rep(tag, field)
     centre, *arms = dims = _embedded_dims(category, shape)
     # each permutation with the dims arm_permute gives it, so that only
-    # the permutations matching a target's dims are tried
+    # the permutations matching a target's dims are pulled back
     perms = [
         (perm, (centre,) + tuple(arms[p] for p in perm))
         for perm in itertools.permutations(range(4))
@@ -835,29 +837,22 @@ def table_trials(category: str, shape: tuple, field: FieldSpec, candidates=None)
         target = _embedded_canon(tag, field)
         for perm, permuted in perms:
             if permuted == target.dims:
-                yield tag, perm, target
+                entry = _pulled_back(tag, perm, field)
+                if entry is not None:
+                    yield tag, entry
 
 
 def classify_indecomposable(obj, candidates=None) -> IndecompTag:
     """Match a single indecomposable object against its category's table:
-    the first of table_trials that an invertible hom-basis element
-    confirms.  Canonical representatives are indecomposable, and so are
-    their embeddings, so each test is exact whatever obj is.
+    the first entry of table_trials that an invertible hom-basis element
+    confirms.  Every entry is indecomposable, so each test is exact
+    whatever obj is.
     """
-    from .quivers import _iso_to_indecomposable
-
     category = _category_of(obj)
     field = obj.field
     shape = _object_shape(category, obj)
-    embedded = None
-    for tag, perm, entry in table_trials(category, shape, field, candidates):
-        if perm is None:
-            found = _basis_iso(category, obj, entry)
-        else:
-            if embedded is None:
-                embedded = _embed(category, obj)
-            found = _iso_to_indecomposable(arm_permute(embedded, perm), entry) is not None
-        if found:
+    for tag, entry in table_trials(category, shape, field, candidates):
+        if _basis_iso(category, obj, entry):
             return tag
     raise UnclassifiedSummand(
         f"no table entry matches an indecomposable of shape {shape} over {field.name}"

@@ -64,15 +64,13 @@ So one hom system (dim End X) and integer arithmetic decide each class.
 
 The tag is found by orbit membership, with no isomorphism test.
 canon.table_trials lists the table entries an indecomposable X is matched
-against, in order, and the first that matches names X.  Each entry names
-one object Y of the cell up to isomorphism: a canonical representative,
-or the preimage of a permuted embedded representative (canon.trial_preimage;
-the embeddings are full and faithful, so Y is unique up to isomorphism and
-exists exactly when some object matches the entry).  X matches the entry
-exactly when X is isomorphic to Y, that is, when Y lies in the orbit of X:
-when the label of Y's number (_RelationSpace.number, _QuiverSpace.number)
-is the number of X.  classify_indecomposable decides the same entries in
-the same order by hom-basis tests, so the tags are the ones it gives.
+against, in order, and the first that matches names X.  Each entry is an
+object Y of the cell: a canonical representative, or the pullback of a
+permuted embedded representative.  X matches the entry exactly when X is
+isomorphic to Y, that is, when Y lies in the orbit of X: when the label
+of Y's number (_RelationSpace.number, _QuiverSpace.number) is the number
+of X.  classify_indecomposable decides the same entries in the same order
+by hom-basis tests, so the tags are the ones it gives.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ from typing import Optional
 
 import numpy as np
 
-from .canon import IndecompTag, _object_shape, table_trials, trial_preimage
+from .canon import IndecompTag, _object_shape, table_trials
 from .errors import ShapeError, TooLarge, UnmatchedClass, UnsupportedField
 from .fields import FieldSpec
 # rref is unused here but stays bound: perfbench's tracer test checks that
@@ -715,21 +713,23 @@ def _decide_indecomposable(obj: CensusObject, orbit_size: int, group_order: int)
 
 def _tags(category: str, space, label: np.ndarray, classes) -> list:
     """The tag of each (number, representative, indecomposable) class, None
-    for a decomposable or unmatched one: the first of canon.table_trials
-    whose object lies in the class's orbit (see the module docstring).  The
-    label each trial's object carries is computed once per cell."""
-    shown = {}  # (tag, perm) -> label of the trial's object, None if none
+    for a decomposable or unmatched one: the first entry of
+    canon.table_trials that lies in the class's orbit (see the module
+    docstring).  The label each entry carries is computed once per cell."""
+    # id(entry) -> (entry, label of its number): entries are cached objects,
+    # so keying by id skips hashing their matrices; holding each keeps its id
+    shown = {}
 
-    def shows(tag, perm, entry) -> Optional[int]:
-        if (tag, perm) not in shown:
-            obj = entry if perm is None else trial_preimage(category, perm, entry)
-            shown[tag, perm] = None if obj is None else int(label[space.number(obj)])
-        return shown[tag, perm]
+    def shows(entry) -> int:
+        key = id(entry)
+        if key not in shown:
+            shown[key] = entry, int(label[space.number(entry)])
+        return shown[key][1]
 
     tags = []
     for number, obj, indecomposable in classes:
         trials = table_trials(category, _object_shape(category, obj), space.field)
-        matches = (tag for tag, perm, entry in trials if shows(tag, perm, entry) == number)
+        matches = (tag for tag, entry in trials if shows(entry) == number)
         tags.append(next(matches, None) if indecomposable else None)
     return tags
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -238,12 +239,21 @@ def _cmd_extension_test(args) -> str:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _ascii_int(text: str) -> int:
+    """text as an int when it is ASCII decimal digits after an optional
+    minus sign; int() also takes a plus sign, underscores, surrounding
+    spaces and the digits of other scripts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_field(p):
     p.add_argument("--field", default="F2", help="F<p> or Q (default F2)")
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_ascii_int, default=0, help="RNG seed (default 0)")
 
 
 def _add_format(p):
@@ -258,7 +268,7 @@ def _add_format(p):
 def _add_functor(p):
     p.add_argument(
         "--functor",
-        type=int,
+        type=_ascii_int,
         choices=range(1, 7),
         required=True,
         help="embedding index 1..6",
@@ -319,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nhat", help="emit the doubled-space family member")
     p.add_argument("poly", help="monic irreducible polynomial, e.g. t^2+t+1")
-    p.add_argument("power", type=int, help="primary power s >= 1")
+    p.add_argument("power", type=_ascii_int, help="primary power s >= 1")
     _add_field(p)
     p.set_defaults(handler=_cmd_nhat)
 
@@ -327,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "category", choices=("F", "S", "D", "K", "C", "LinRel1", "PairRel")
     )
-    p.add_argument("dims", type=int, nargs="+")
+    p.add_argument("dims", type=_ascii_int, nargs="+")
     _add_field(p)
     _add_format(p)
     p.add_argument(
         "--workers",
-        type=int,
+        type=_ascii_int,
         default=1,
         help="parallel workers for the counting verdicts",
     )

@@ -10,6 +10,7 @@ the factorization helpers the decomposition machinery relies on.
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,11 +97,6 @@ class FieldSpec:
         return self.p is not None
 
     @property
-    def size(self) -> int | None:
-        """Number of elements, or ``None`` for the rationals."""
-        return self.p
-
-    @property
     def name(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 
@@ -123,14 +119,20 @@ class FieldSpec:
         return 1 if self.p is not None else Fraction(1)
 
     def convert(self, x):
-        """Coerce an int/Fraction/raw value into this field's raw form."""
-        if self.p is not None:
-            if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    return x.numerator % self.p
-                return self.div(x.numerator % self.p, x.denominator % self.p)
-            return int(x) % self.p
-        return Fraction(x)
+        """Coerce an integer (numpy integers included) or a Fraction into
+        this field's raw form; any other type, float and str among them,
+        raises TypeError."""
+        if type(x) is int:  # the common case, first: one call per parsed entry
+            return x % self.p if self.p is not None else Fraction(x)
+        if isinstance(x, Fraction):
+            if self.p is None:
+                return Fraction(x)
+            if x.denominator == 1:
+                return x.numerator % self.p
+            return self.div(x.numerator % self.p, x.denominator % self.p)
+        if isinstance(x, numbers.Integral):
+            return self.convert(int(x))
+        raise TypeError(f"cannot convert {type(x).__name__} {x!r} to {self.name}")
 
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
@@ -372,11 +374,7 @@ def _monic_polys(field: FieldSpec, degree: int):
 
 def is_irreducible(p: Poly, field: FieldSpec | None = None) -> bool:
     """Whether a monic polynomial of degree >= 1 is irreducible, by sympy
-    (the factorization dependency).
-
-    Over the rationals only degrees <= 3 are supported; higher degrees raise
-    :class:`UnsupportedField`.
-    """
+    (the factorization dependency), in any degree over F_p and Q."""
     if field is not None and field != p.field:
         raise FieldMismatch(f"{field.name} vs {p.field.name}")
     if not p.is_monic:
@@ -385,10 +383,6 @@ def is_irreducible(p: Poly, field: FieldSpec | None = None) -> bool:
         raise ValueError("irreducibility requires degree >= 1")
     if p.degree == 1:
         return True
-    if not p.field.is_prime_field and p.degree > 3:
-        raise UnsupportedField(
-            "irreducibility over the rationals is supported only up to degree 3"
-        )
     return _to_sympy(p).is_irreducible
 
 

@@ -85,12 +85,6 @@ class Quiver:
     def vertex_index(self, v: int) -> int:
         return self.vertices.index(v)
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
 
 QUIVERS: dict[str, Quiver] = {
     "F": Quiver(

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from foursub import canon, quivers
+from foursub import canon
 from foursub.canon import (
     CATEGORIES,
     IndecompTag,
@@ -39,6 +39,9 @@ from foursub.quivers import (
     validate,
 )
 from foursub.relations import (
+    PairRelObj,
+    _as_rep,
+    _from_rep,
     lrel_is_isomorphic,
     rel_inverse,
     rel_is_isomorphic,
@@ -346,34 +349,112 @@ def test_classify_inverse_relation():
 
 
 def test_stage_two_builds_only_permutations_of_matching_dims(monkeypatch):
-    # stage two compares a permutation's dims with the target's before it
-    # builds the permuted representation, so every one it builds goes on to
-    # the isomorphism test; the PairRel (1,2) classes over F2 reach stage
-    # two with arms of unequal dims
+    # stage two compares a permutation's dims with the shape's embedded dims
+    # before it builds the permuted representative, so every one it builds
+    # has the object's embedded dims and goes on to in_image; the PairRel
+    # (1,2) classes over F2 reach stage two with arms of unequal dims
     reps = [
         c.representative
         for c in census("PairRel", F2, (1, 2)).classes
         if c.indecomposable
     ]
-
-    def tags():
-        return [str(classify_indecomposable(rep)) for rep in reps]
-
-    expected, built, tested = tags(), [], set()
-    iso = quivers._iso_to_indecomposable
+    expected = [classify_indecomposable(rep) for rep in reps]
+    built, pulled = [], set()
 
     def recording_arm_permute(rep, perm):
         built.append(arm_permute(rep, perm))
         return built[-1]
 
-    def recording_iso(a, b):
-        tested.add(id(a))
-        return iso(a, b)
+    def recording_in_image(i, v):
+        pulled.add(id(v))
+        return in_image(i, v)
 
     monkeypatch.setattr(canon, "arm_permute", recording_arm_permute)
-    monkeypatch.setattr(quivers, "_iso_to_indecomposable", recording_iso)
-    assert tags() == expected
-    assert built and all(id(rep) in tested for rep in built)
+    monkeypatch.setattr(canon, "in_image", recording_in_image)
+    canon._pulled_back.cache_clear()
+    count = 0
+    for rep, tag in zip(reps, expected):
+        built.clear()
+        assert classify_indecomposable(rep) == tag
+        dims = _embedded_dims("PairRel", canon._object_shape("PairRel", rep))
+        assert all(b.dims == dims and id(b) in pulled for b in built)
+        count += len(built)
+    assert count
+
+
+@pytest.mark.parametrize(
+    "category,shape",
+    [("F", (3, 2, 2, 1, 1)), ("F", (2, 1, 1, 1, 0)), ("S", (2, 1, 2, 1)),
+     ("D", (2, 1, 1)), ("LinRel1", (3, 3)), ("PairRel", (1, 2, 1, 1)),
+     ("PairRel", (1, 2, 2, 1))],
+)
+def test_every_trial_entry_has_the_shape(category, shape):
+    # stage two's pullbacks are objects of the category with the shape they
+    # are matched against, whatever the permutation: a pullback through the
+    # permutation rather than its inverse has the wrong dims at PairRel
+    # (1,2,2,1)
+    for field in (F2, F3):
+        entries = [e for _, e in canon.table_trials(category, shape, field)]
+        assert len(entries) > len(canon._tags_for_shape(category, shape, field, None))
+        assert all(canon._object_shape(category, e) == shape for e in entries)
+
+
+# candidate (p, 1) pairs over Q for the F:0(2,p=t^2+1,s=1) entry under arm
+# permutations, which move the parameter by the Moebius maps permuting
+# 0, 1 and infinity: t^2+1 (roots +-i), t^2-2t+2 (1+-i), t^2-t+1/2 ((1+-i)/2)
+_Q_CANDIDATES = [(parse_poly(QQ, p), 1) for p in ("t^2+1", "t^2-2t+2", "t^2-t+1/2")]
+
+
+def _relation_conjugate(obj, rng):
+    return _from_rep(random_conjugate(_as_rep(obj), rng))
+
+
+def symmetric_variants(field, rng):
+    """Objects the tables name only up to a symmetry of the ambient, each in
+    a random basis: arm-permuted F representatives, inverted LinRel1 entries
+    and PairRel entries with their two relations swapped."""
+    if field == QQ:
+        family = parse_poly(QQ, "t^2+1")
+        tags = {
+            category: [t for t in all_tags(category, F2, max_n=1) if t.poly is None]
+            + [IndecompTag(category, "Zero", 2, family, 1)]
+            for category in ("F", "LinRel1", "PairRel")
+        }
+    else:
+        tags = {
+            "F": all_tags("F", field, max_n=1, max_deg=1),
+            "LinRel1": all_tags("LinRel1", field, max_n=2, max_deg=2),
+            "PairRel": all_tags("PairRel", field, max_n=1, max_deg=1),
+        }
+    for tag in tags["F"]:
+        perm = tuple(rng.sample(range(4), 4))
+        yield random_conjugate(arm_permute(canon_rep(tag, field), perm), rng)
+    for tag in tags["LinRel1"]:
+        yield _relation_conjugate(rel_inverse(canon_rep(tag, field)), rng)
+    for tag in tags["PairRel"]:
+        pair = canon_rep(tag, field)
+        swapped = PairRelObj(field, pair.dim1, pair.dim2, pair.basis2, pair.basis1)
+        yield _relation_conjugate(swapped, rng)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5), QQ], ids=["F2", "F3", "F5", "Q"])
+def test_symmetric_variants_match_by_the_embedded_rule(field):
+    # an independent oracle for matching inside the category: the tag's
+    # embedded representative is isomorphic to some arm permutation of the
+    # object's embedding
+    candidates = _Q_CANDIDATES if field == QQ else None
+    count = 0
+    for obj in symmetric_variants(field, random.Random(25)):
+        category = canon._category_of(obj)
+        tag = classify_indecomposable(obj, candidates)
+        embedded = obj if category == "F" else apply_functor(canon._FUNCTOR_OF[category], obj)
+        target = _embedded_canon(tag, field)
+        assert any(
+            is_isomorphic(arm_permute(embedded, perm), target)
+            for perm in itertools.permutations(range(4))
+        ), (str(tag), obj)
+        count += 1
+    assert count >= 20
 
 
 def test_classify_over_rationals_needs_candidates():

@@ -435,6 +435,12 @@ class TestCanonNhat:
         got = run_within_10_s(capsys, "canon", tag, "--field", field_name)
         assert (got[0], got[2]) == (code, err)
 
+    def test_canon_quartic_family_over_rationals(self, capsys):
+        # sympy decides irreducibility over Q in every degree
+        code, out, err = run(capsys, "canon", "K:0(4,p=t^4+2,s=1)", "--field", "Q")
+        assert (code, err) == (0, "")
+        assert parse_object(out).dims == (4, 4)
+
     @pytest.mark.parametrize("field_name", ["F10000000000000061", "F2305843009213693951"])
     def test_canon_over_large_primes(self, capsys, field_name):
         # trial division took 17 s to accept the first, and the second would
@@ -643,3 +649,22 @@ class TestExitCodes:
         code, out, err = run(capsys, "canon", tag, "--field", field_name)
         assert (code, out) == (2, "")
         assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decompose", "FILE", "--seed", "١"),
+            ("decompose", "FILE", "--seed", "1_0"),
+            ("decompose", "FILE", "--seed", "+1"),
+            ("functor-apply", "--functor", "٣", "FILE"),
+            ("census", "K", "١", "1"),
+            ("census", "K", "1", "1", "--workers", "١"),
+            ("nhat", "t+1", "١"),
+        ],
+        ids=["seed-arabic", "seed-underscore", "seed-plus", "functor", "dims", "workers", "power"],
+    )
+    def test_integer_options_take_ascii_digits_only(self, capsys, kron_sum, argv):
+        # argparse rejects the value before any command runs
+        code, out, err = run(capsys, *(kron_sum if a == "FILE" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert "invalid int value" in err

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from foursub.fields import (
     poly_factor_list,
     poly_power,
 )
+from foursub.matrices import Matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -106,6 +108,21 @@ class TestFieldSpec:
             with pytest.raises(ParseError):
                 F5.parse_scalar(bad)
 
+    def test_convert_takes_integers_and_fractions_only(self):
+        assert F5.convert(7) == 2
+        assert F5.convert(np.int64(-1)) == 4
+        assert F5.convert(Fraction(1, 2)) == 3
+        assert QQ.convert(np.int32(3)) == Fraction(3)
+        assert QQ.convert(Fraction(1, 3)) == Fraction(1, 3)
+        for field in (F5, QQ):
+            for bad in [0.5, 2.0, "3", None]:
+                with pytest.raises(TypeError):
+                    field.convert(bad)
+        with pytest.raises(TypeError):
+            Matrix.from_rows(F5, [[0.5, 2.7]])
+        with pytest.raises(TypeError):
+            Matrix.from_rows(QQ, [[0.1]])
+
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
 @settings(deadline=None, max_examples=60)
@@ -181,8 +198,9 @@ class TestIrreducibility:
         assert not is_irreducible(parse_poly(QQ, "t^2-1"))
         assert is_irreducible(parse_poly(QQ, "t^3-2"))
         assert not is_irreducible(parse_poly(QQ, "t^3+1"))
-        with pytest.raises(UnsupportedField):
-            is_irreducible(parse_poly(QQ, "t^4+1"))
+        # past degree 3: t^4+4 = (t^2+2t+2)(t^2-2t+2) has no rational root
+        assert is_irreducible(parse_poly(QQ, "t^4+1"))
+        assert not is_irreducible(parse_poly(QQ, "t^4+4"))
 
     def test_degree_one_always(self):
         assert is_irreducible(parse_poly(F2, "t"))
